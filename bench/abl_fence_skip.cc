@@ -28,7 +28,7 @@ int main() {
     for (bool skip : {true, false}) {
       lsm::Options opts = bridge::MakeOptions(cfg, t, scale.entries);
       opts.fence_pointer_skip = skip;
-      auto db_or = lsm::DB::Open(opts);
+      auto db_or = lsm::ShardedDB::Open(opts);
       std::vector<std::pair<lsm::Key, lsm::Value>> pairs;
       for (uint64_t i = 0; i < scale.entries; ++i) {
         pairs.emplace_back(2 * i, i);
@@ -37,13 +37,13 @@ int main() {
 
       Rng rng(44);
       workload::KeyUniverse universe(scale.entries);
-      const lsm::Statistics before = (*db_or)->stats();
+      const lsm::Statistics before = (*db_or)->TotalStats();
       const int n = 1500;
       for (int i = 0; i < n; ++i) {
         const lsm::Key lo = universe.SampleExisting(&rng);
         (void)(*db_or)->Scan(lo, lo + 4);  // ~2 entries: minimal selectivity
       }
-      const lsm::Statistics d = (*db_or)->stats().Delta(before);
+      const lsm::Statistics d = (*db_or)->TotalStats().Delta(before);
       ios[skip ? 0 : 1] = static_cast<double>(d.range_pages_read) / n;
     }
     table.AddRow({t.ToString(), TablePrinter::Fmt(model.RangeQueryCost(t), 2),

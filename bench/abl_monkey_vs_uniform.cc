@@ -25,7 +25,7 @@ int main() {
         Tuning t(Policy::kLeveling, T, h);
         lsm::Options opts = bridge::MakeOptions(cfg, t, scale.entries);
         opts.filter_allocation = alloc;
-        auto db_or = lsm::DB::Open(opts);
+        auto db_or = lsm::ShardedDB::Open(opts);
         std::vector<std::pair<lsm::Key, lsm::Value>> pairs;
         pairs.reserve(scale.entries);
         for (uint64_t i = 0; i < scale.entries; ++i) {
@@ -35,12 +35,12 @@ int main() {
 
         Rng rng(33);
         workload::KeyUniverse universe(scale.entries);
-        const lsm::Statistics before = (*db_or)->stats();
+        const lsm::Statistics before = (*db_or)->TotalStats();
         const int n = 4000;
         for (int i = 0; i < n; ++i) {
           (*db_or)->Get(universe.SampleMissing(&rng));
         }
-        const lsm::Statistics d = (*db_or)->stats().Delta(before);
+        const lsm::Statistics d = (*db_or)->TotalStats().Delta(before);
         ios[static_cast<int>(alloc)] =
             static_cast<double>(d.point_pages_read) / n;
       }

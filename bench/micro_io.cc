@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/random.h"
 
@@ -49,17 +49,17 @@ BackendResults RunBackend(StorageBackend backend, uint64_t n, uint64_t ops) {
 
   // --- fill: random upserts through the memtable/flush/compaction path ---
   {
-    auto db = std::move(DB::Open(BenchOptions(backend))).value();
+    auto db = std::move(ShardedDB::Open(BenchOptions(backend))).value();
     Rng rng(42);
     Meter meter;
     for (uint64_t i = 0; i < n; ++i) {
       db->Put(2 * rng.UniformInt(0, static_cast<int64_t>(n) - 1), i);
     }
-    out.fill = meter.Finish(n, db->stats().pages_written);
+    out.fill = meter.Finish(n, db->TotalStats().pages_written);
   }
 
   // --- read phases run against a settled bulk-loaded tree ---
-  auto db = std::move(DB::Open(BenchOptions(backend))).value();
+  auto db = std::move(ShardedDB::Open(BenchOptions(backend))).value();
   {
     std::vector<std::pair<Key, Value>> pairs;
     pairs.reserve(n);
@@ -72,24 +72,24 @@ BackendResults RunBackend(StorageBackend backend, uint64_t n, uint64_t ops) {
     Rng rng(43);
     for (int i = 0; i < 1000; ++i) db->Get(2 * rng.UniformInt(0, 1000));
     Rng hit_rng(44);
-    const Statistics before_hit = db->stats();
+    const Statistics before_hit = db->TotalStats();
     Meter hit_meter;
     uint64_t found = 0;
     for (uint64_t i = 0; i < ops; ++i) {
       found += db->Get(2 * hit_rng.UniformInt(0, n - 1)).has_value();
     }
     out.get_hit =
-        hit_meter.Finish(ops, db->stats().Delta(before_hit).pages_read);
+        hit_meter.Finish(ops, db->TotalStats().Delta(before_hit).pages_read);
     if (found != ops) std::abort();
 
     Rng miss_rng(45);
-    const Statistics before_miss = db->stats();
+    const Statistics before_miss = db->TotalStats();
     Meter miss_meter;
     for (uint64_t i = 0; i < ops; ++i) {
       found += db->Get(2 * miss_rng.UniformInt(0, n - 1) + 1).has_value();
     }
     out.get_miss =
-        miss_meter.Finish(ops, db->stats().Delta(before_miss).pages_read);
+        miss_meter.Finish(ops, db->TotalStats().Delta(before_miss).pages_read);
     if (found != ops) std::abort();
   }
 
@@ -97,14 +97,14 @@ BackendResults RunBackend(StorageBackend backend, uint64_t n, uint64_t ops) {
   {
     const uint64_t scans = ops / 16;
     Rng rng(46);
-    const Statistics before = db->stats();
+    const Statistics before = db->TotalStats();
     Meter meter;
     uint64_t returned = 0;
     for (uint64_t i = 0; i < scans; ++i) {
       const Key lo = 2 * rng.UniformInt(0, static_cast<int64_t>(n) - 9);
       returned += db->Scan(lo, lo + 16).value().size();
     }
-    out.scan = meter.Finish(scans, db->stats().Delta(before).pages_read);
+    out.scan = meter.Finish(scans, db->TotalStats().Delta(before).pages_read);
     if (returned == 0) std::abort();
   }
 

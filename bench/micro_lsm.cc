@@ -32,14 +32,14 @@ CompactionPolicy PolicyFromArg(int64_t arg) {
   }
 }
 
-std::unique_ptr<DB> MakeLoadedDb(uint64_t n, CompactionPolicy policy) {
+std::unique_ptr<ShardedDB> MakeLoadedDb(uint64_t n, CompactionPolicy policy) {
   Options o;
   o.policy = policy;
   o.size_ratio = 8;
   o.buffer_entries = 1024;
   o.entries_per_page = 4;
   o.filter_bits_per_entry = 8.0;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   std::vector<std::pair<Key, Value>> pairs;
   pairs.reserve(n);
   for (uint64_t i = 0; i < n; ++i) pairs.emplace_back(2 * i, i);
@@ -81,7 +81,7 @@ void BM_Write(benchmark::State& state) {
   o.size_ratio = 8;
   o.buffer_entries = 1024;
   o.entries_per_page = 4;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   Key next = 0;
   for (auto _ : state) {
     (*db)->Put(next, next);

@@ -1,7 +1,6 @@
 // micro_recovery: restart latency of a durable ShardedDB deployment
 // (docs/durability.md, docs/operations.md) as a function of shard count,
-// serial vs parallel shard recovery, plus the WAL-flusher thread count
-// before/after the shared WalFlushService.
+// serial vs parallel shard recovery, plus the WAL-flusher thread count.
 //
 // Phases (for each shard count S in MICRO_RECOVERY_SHARDS):
 //   recover_serial_s<S>    reopen a killed S-shard deployment with
@@ -13,9 +12,9 @@
 // Each killed deployment is prepared once and copied, so both opens
 // replay byte-identical manifests, segments and WAL tails; ops = entries
 // recovered, pages = recovery page reads. The flusher phase opens the
-// largest deployment under WalSyncMode::kBackground twice and counts
-// live threads via /proc/self/task: shared_wal_flusher=false runs one
-// interval thread per shard, =true exactly one WalFlushService thread.
+// largest deployment under WalSyncMode::kBackground and counts live
+// threads via /proc/self/task: exactly one WalFlushService thread,
+// whatever the shard count.
 //
 // Scale knobs (environment):
 //   MICRO_RECOVERY_SHARDS  CSV of shard counts (default "1,4,8")
@@ -202,19 +201,11 @@ int main(int argc, char** argv) {
   summary += "  },\n";
 
   // Flusher topology at the largest shard count: thread delta of an open
-  // deployment, legacy per-shard threads vs the shared service.
+  // deployment.
   const int max_shards = shard_counts.empty() ? 1 : shard_counts.back();
   std::fprintf(stderr, "phase: flusher threads (%d shards)...\n",
                max_shards);
-  uint64_t legacy_threads = 0, shared_threads = 0;
-  {
-    Options o = DeployOpts(root + "_flusher", max_shards);
-    o.shared_wal_flusher = false;
-    std::filesystem::remove_all(o.storage_dir);
-    const uint64_t before = LiveThreads();
-    auto db = std::move(ShardedDB::Open(o)).value();
-    legacy_threads = LiveThreads() - before;
-  }
+  uint64_t shared_threads = 0;
   {
     Options o = DeployOpts(root + "_flusher", max_shards);
     std::filesystem::remove_all(o.storage_dir);
@@ -243,10 +234,9 @@ int main(int argc, char** argv) {
     char buf[160];
     std::snprintf(
         buf, sizeof(buf),
-        "  \"flusher_threads\": {\"shards\": %d, \"legacy_per_shard\": "
-        "%llu, \"shared_service\": %llu}\n",
-        max_shards, static_cast<unsigned long long>(legacy_threads),
-        static_cast<unsigned long long>(shared_threads));
+        "  \"flusher_threads\": {\"shards\": %d, \"shared_service\": "
+        "%llu}\n",
+        max_shards, static_cast<unsigned long long>(shared_threads));
     json += buf;
   }
   json += "}\n";

@@ -1,7 +1,7 @@
 // micro_wal: commit latency/throughput of the durability subsystem
 // (docs/durability.md) across WAL sync modes, plus recovery speed.
 //
-// Phases (each on a fresh durable DB over FilePageStore):
+// Phases (each on a fresh one-shard durable ShardedDB over FilePageStore):
 //   put_none        single Puts, WalSyncMode::kNone (page cache only)
 //   put_background  single Puts, kBackground (bounded loss window)
 //   put_per_batch   single Puts, kPerBatch — one fsync per op, the
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/random.h"
 
@@ -55,29 +55,29 @@ Options DurableOpts(const std::string& dir, WalSyncMode mode) {
   return o;
 }
 
-std::unique_ptr<DB> FreshDb(const Options& opts) {
+std::unique_ptr<ShardedDB> FreshDb(const Options& opts) {
   std::filesystem::remove_all(opts.storage_dir);
-  return std::move(DB::Open(opts)).value();
+  return std::move(ShardedDB::Open(opts)).value();
 }
 
 /// `ops` random-key Puts; pages metric = all pages written (flush +
 /// compaction traffic the WAL-ed writes caused).
-PhaseResult PutPhase(DB* db, uint64_t ops, uint64_t seed) {
+PhaseResult PutPhase(ShardedDB* db, uint64_t ops, uint64_t seed) {
   Rng rng(seed);
-  const Statistics before = db->stats();
+  const Statistics before = db->TotalStats();
   Meter meter;
   for (uint64_t i = 0; i < ops; ++i) {
     db->Put(rng.UniformInt(0, kKeySpace - 1), i);
   }
-  const Statistics d = db->stats().Delta(before);
+  const Statistics d = db->TotalStats().Delta(before);
   return meter.Finish(ops, d.pages_written);
 }
 
 /// Same write mix, committed in groups of `batch` entries.
-PhaseResult GroupCommitPhase(DB* db, uint64_t ops, uint64_t batch,
+PhaseResult GroupCommitPhase(ShardedDB* db, uint64_t ops, uint64_t batch,
                              uint64_t seed) {
   Rng rng(seed);
-  const Statistics before = db->stats();
+  const Statistics before = db->TotalStats();
   Meter meter;
   std::vector<std::pair<Key, Value>> group;
   group.reserve(batch);
@@ -88,7 +88,7 @@ PhaseResult GroupCommitPhase(DB* db, uint64_t ops, uint64_t batch,
     }
     db->PutBatch(group);
   }
-  const Statistics d = db->stats().Delta(before);
+  const Statistics d = db->TotalStats().Delta(before);
   return meter.Finish(ops, d.pages_written);
 }
 
@@ -121,10 +121,10 @@ int main(int argc, char** argv) {
   {
     auto db = FreshDb(bg_opts);
     background = PutPhase(db.get(), ops, 2);
-    bg_wal_records = db->stats().wal_records;
-    bg_wal_bytes = db->stats().wal_bytes;
-    bg_wal_syncs = db->stats().wal_syncs;
-    bg_manifest_writes = db->stats().manifest_writes;
+    bg_wal_records = db->TotalStats().wal_records;
+    bg_wal_bytes = db->TotalStats().wal_bytes;
+    bg_wal_syncs = db->TotalStats().wal_syncs;
+    bg_manifest_writes = db->TotalStats().manifest_writes;
     // Die without the shutdown checkpoint so the recover phase below has
     // a real WAL tail to replay.
     db->CrashForTesting();
@@ -151,10 +151,10 @@ int main(int argc, char** argv) {
   uint64_t recovered_entries = 0, replayed = 0, recovery_pages = 0;
   {
     Meter meter;
-    auto db = std::move(DB::Open(bg_opts)).value();
-    recovered_entries = db->tree().TotalEntries();
-    replayed = db->stats().wal_replayed_entries;
-    recovery_pages = db->stats().recovery_pages_read;
+    auto db = std::move(ShardedDB::Open(bg_opts)).value();
+    recovered_entries = db->TotalEntries();
+    replayed = db->TotalStats().wal_replayed_entries;
+    recovery_pages = db->TotalStats().recovery_pages_read;
     recover = meter.Finish(recovered_entries > 0 ? recovered_entries : 1,
                            recovery_pages);
   }

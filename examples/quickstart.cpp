@@ -6,10 +6,11 @@
 // around your expectation.
 
 #include <cstdio>
+#include <filesystem>
 #include <utility>
 
 #include "core/endure.h"
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 
 int main() {
   using namespace endure;
@@ -54,20 +55,21 @@ int main() {
   std::printf("Worst-case workload inside the rho=%.1f ball: %s\n", rho,
               inner.worst_case.ToString().c_str());
 
-  // 7. Deployments are durable: open a crash-safe DB, write, close, and
-  //    reopen — the data (and, in general, an applied tuning) survive
+  // 7. Deployments are durable: open a crash-safe database, write, close,
+  //    and reopen — the data (and, in general, an applied tuning) survive
   //    the restart. See docs/durability.md for the guarantees.
   lsm::Options opts;
   opts.backend = lsm::StorageBackend::kFile;
   opts.storage_dir = "/tmp/endure_quickstart_db";
   opts.durability = true;
+  std::filesystem::remove_all(opts.storage_dir);  // start from scratch
   {
-    auto db = std::move(lsm::DB::Open(opts)).value();
+    auto db = std::move(lsm::ShardedDB::Open(opts)).value();
     for (lsm::Key k = 0; k < 1000; ++k) db->Put(k, k * 2);
   }  // clean close: the WAL is synced whatever the sync mode
-  auto reopened = std::move(lsm::DB::Open(opts)).value();
+  auto reopened = std::move(lsm::ShardedDB::Open(opts)).value();
   std::printf("\nReopened durable DB: %llu entries recovered, Get(7) = %llu\n",
-              static_cast<unsigned long long>(reopened->tree().TotalEntries()),
+              static_cast<unsigned long long>(reopened->TotalEntries()),
               static_cast<unsigned long long>(*reopened->Get(7)));
   return 0;
 }

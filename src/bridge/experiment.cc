@@ -20,9 +20,14 @@ ExperimentRunner::ExperimentRunner(const SystemConfig& cfg,
 std::vector<SessionMeasurement> ExperimentRunner::Run(
     const Tuning& tuning,
     const std::vector<workload::Session>& sessions) const {
-  auto db_or = OpenTunedDb(cfg_, tuning, opts_.actual_entries, opts_.backend);
+  // One shard, foreground maintenance: inline flushes and compactions
+  // keep the measured I/O deterministic for a given seed.
+  auto db_or = OpenTunedShardedDb(cfg_, tuning, opts_.actual_entries,
+                                  /*num_shards=*/1,
+                                  /*background_maintenance=*/false,
+                                  opts_.backend);
   ENDURE_CHECK_MSG(db_or.ok(), db_or.status().ToString().c_str());
-  std::unique_ptr<lsm::DB> db = std::move(db_or).value();
+  std::unique_ptr<lsm::ShardedDB> db = std::move(db_or).value();
 
   CostModel model(scaled_cfg_);
   // The engine rounds fractional size ratios up on deployment (Section
@@ -44,7 +49,7 @@ std::vector<SessionMeasurement> ExperimentRunner::Run(
     m.average = session.Average();
     m.model_io_per_query = model.Cost(m.average, deployed);
 
-    const lsm::Statistics before = db->stats();
+    const lsm::Statistics before = db->TotalStats();
     uint64_t queries = 0;
     std::array<uint64_t, kNumQueryClasses> class_counts = {0, 0, 0, 0};
     WallTimer timer;
@@ -73,7 +78,7 @@ std::vector<SessionMeasurement> ExperimentRunner::Run(
       queries += trace.ops.size();
     }
     const double elapsed_us = timer.Seconds() * 1e6;
-    const lsm::Statistics d = db->stats().Delta(before);
+    const lsm::Statistics d = db->TotalStats().Delta(before);
 
     m.total_queries = queries;
     const double write_traffic =

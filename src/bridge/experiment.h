@@ -41,7 +41,8 @@ struct ExperimentOptions {
   lsm::StorageBackend backend = lsm::StorageBackend::kMemory;
 };
 
-/// Runs session sequences against freshly tuned DB instances.
+/// Runs session sequences against freshly tuned one-shard ShardedDB
+/// instances (foreground maintenance, so a seed fixes every page count).
 class ExperimentRunner {
  public:
   ExperimentRunner(const SystemConfig& cfg, ExperimentOptions opts = {});

@@ -50,23 +50,6 @@ SystemConfig ScaledConfig(const SystemConfig& cfg, uint64_t actual_entries) {
   return scaled;
 }
 
-StatusOr<std::unique_ptr<lsm::DB>> OpenTunedDb(const SystemConfig& cfg,
-                                               const Tuning& t,
-                                               uint64_t actual_entries,
-                                               lsm::StorageBackend backend) {
-  auto db_or = lsm::DB::Open(MakeOptions(cfg, t, actual_entries, backend));
-  if (!db_or.ok()) return db_or.status();
-  std::unique_ptr<lsm::DB> db = std::move(db_or).value();
-
-  std::vector<std::pair<lsm::Key, lsm::Value>> pairs;
-  pairs.reserve(actual_entries);
-  for (uint64_t i = 0; i < actual_entries; ++i) {
-    pairs.emplace_back(2 * i, i);  // even keys: odd keys are sure misses
-  }
-  ENDURE_RETURN_IF_ERROR(db->BulkLoad(pairs));
-  return db;
-}
-
 StatusOr<std::unique_ptr<lsm::ShardedDB>> OpenTunedShardedDb(
     const SystemConfig& cfg, const Tuning& t, uint64_t actual_entries,
     int num_shards, bool background_maintenance,
@@ -127,7 +110,6 @@ void CarryImmutableKnobs(const lsm::Options& current, lsm::Options* next) {
   next->durability = current.durability;
   next->wal_sync_mode = current.wal_sync_mode;
   next->wal_sync_interval_ms = current.wal_sync_interval_ms;
-  next->shared_wal_flusher = current.shared_wal_flusher;
   next->recovery_threads = current.recovery_threads;
   next->maintenance_threads = current.maintenance_threads;
   next->compaction_rate_bytes_per_sec = current.compaction_rate_bytes_per_sec;
@@ -153,15 +135,6 @@ Status ApplyTuning(lsm::ShardedDB* db, const SystemConfig& cfg,
   // On a durable deployment ShardedDB::ApplyTuning republishes every
   // shard manifest and the root manifest, so the retune survives a
   // restart (TuningPipeline::RetuneAndApply inherits this).
-  return db->ApplyTuning(next);
-}
-
-Status ApplyTuning(lsm::DB* db, const SystemConfig& cfg, const Tuning& t,
-                   uint64_t actual_entries) {
-  const lsm::Options current = db->options();
-  lsm::Options next = MakeOptions(cfg, t, actual_entries, current.backend);
-  next.background_maintenance = current.background_maintenance;
-  CarryImmutableKnobs(current, &next);
   return db->ApplyTuning(next);
 }
 

@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "core/endure.h"
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
 
 namespace endure::bridge {
@@ -35,15 +34,12 @@ lsm::Options MakeOptions(const SystemConfig& cfg, const Tuning& t,
 /// predictions comparable with engine measurements).
 SystemConfig ScaledConfig(const SystemConfig& cfg, uint64_t actual_entries);
 
-/// Opens a DB configured per the tuning and bulk loads `actual_entries`
-/// entries with keys 2*0, 2*1, ..., matching workload::KeyUniverse.
-StatusOr<std::unique_ptr<lsm::DB>> OpenTunedDb(
-    const SystemConfig& cfg, const Tuning& t, uint64_t actual_entries,
-    lsm::StorageBackend backend = lsm::StorageBackend::kMemory);
-
-/// Sharded variant of OpenTunedDb: opens a ShardedDB deployment of
-/// `num_shards` hash-partitioned shards implementing the tuning and bulk
-/// loads the same even-key universe, ready to serve concurrent traffic.
+/// Opens a ShardedDB deployment of `num_shards` hash-partitioned shards
+/// implementing the tuning and bulk loads `actual_entries` entries with
+/// keys 2*0, 2*1, ..., matching workload::KeyUniverse. One shard without
+/// background maintenance is the deterministic engine the experiments
+/// measure; more shards with background maintenance serve concurrent
+/// traffic.
 ///
 /// With a non-empty `durable_dir` the deployment is durable (file
 /// backend, WAL + manifest rooted there): a fresh directory is bulk
@@ -74,14 +70,11 @@ StatusOr<std::unique_ptr<lsm::ShardedDB>> OpenTunedShardedDb(
 /// rebuild, no lost acked writes, reads served throughout. The
 /// structural migration proceeds on the maintenance pool; poll
 /// `db->Progress()` or call `db->WaitForMaintenance()` to observe it
-/// converge. This is the deploy half of the Section 7.3 loop
+/// converge (without background maintenance it converges before
+/// ApplyTuning returns). This is the deploy half of the Section 7.3 loop
 /// (TuningPipeline::RetuneAndApply packages both halves).
 Status ApplyTuning(lsm::ShardedDB* db, const SystemConfig& cfg,
                    const Tuning& t, uint64_t actual_entries);
-
-/// Single-tree variant (experiments): migration converges synchronously.
-Status ApplyTuning(lsm::DB* db, const SystemConfig& cfg, const Tuning& t,
-                   uint64_t actual_entries);
 
 }  // namespace endure::bridge
 

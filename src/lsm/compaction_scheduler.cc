@@ -93,8 +93,11 @@ void CompactionScheduler::TimerLoop() {
       continue;
     }
     const auto now = std::chrono::steady_clock::now();
-    if (delayed_.front().deadline > now) {
-      timer_cv_.wait_until(lock, delayed_.front().deadline);
+    // A copy, not a reference into delayed_: the wait releases the lock,
+    // and an EnqueueDelayed meanwhile may reallocate the heap's storage.
+    const auto deadline = delayed_.front().deadline;
+    if (deadline > now) {
+      timer_cv_.wait_until(lock, deadline);
       continue;
     }
     while (!delayed_.empty() && delayed_.front().deadline <= now) {

@@ -115,15 +115,9 @@ Status LsmTree::MaintainAfterWrite() {
   if (opts_.background_maintenance) {
     // Hand the full buffer to maintenance instead of flushing inline. If
     // maintenance has fallen behind (the previous sealed buffer is still
-    // pending), either the owner stalls writers upstream
-    // (deferred_backpressure_: the active buffer absorbs over capacity
-    // until the scheduler drains the debt) or we flush inline here —
-    // backpressure that keeps at most one sealed buffer alive.
-    if (sealed_ != nullptr) {
-      if (deferred_backpressure_) return Status::OK();
-      ENDURE_RETURN_IF_ERROR(FlushSealedMemtable());
-    }
-    SealMemtable();
+    // pending), the active buffer absorbs writes over capacity while the
+    // owner stalls writers upstream until the scheduler drains the debt.
+    if (sealed_ == nullptr) SealMemtable();
     return Status::OK();
   }
   return Flush();
@@ -231,13 +225,6 @@ Status LsmTree::FlushSealedInternal() {
   // never coexist. Publish the outcome (success or exact rollback) once.
   PublishSnapshot();
   return s;
-}
-
-Status LsmTree::FlushSealedMemtable() {
-  ENDURE_RETURN_IF_ERROR(Health());
-  if (sealed_ == nullptr) return Status::OK();
-  ENDURE_RETURN_IF_ERROR(FlushSealedInternal());
-  return CheckpointIfDurable();
 }
 
 Status LsmTree::Flush() {
@@ -588,16 +575,9 @@ Status LsmTree::Reconfigure(const Options& new_options) {
   }
   if (new_options.durability != opts_.durability ||
       new_options.wal_sync_mode != opts_.wal_sync_mode ||
-      new_options.wal_sync_interval_ms != opts_.wal_sync_interval_ms ||
-      new_options.shared_wal_flusher != opts_.shared_wal_flusher) {
+      new_options.wal_sync_interval_ms != opts_.wal_sync_interval_ms) {
     return Status::InvalidArgument(
         "durability and WAL sync settings cannot change on a live tree");
-  }
-  if (new_options.verify_checksums != opts_.verify_checksums ||
-      new_options.scrub_on_recovery != opts_.scrub_on_recovery) {
-    return Status::InvalidArgument(
-        "checksum verification settings cannot change on a live tree "
-        "(they are bound to the page store at open)");
   }
 
   opts_ = new_options;
@@ -1184,17 +1164,16 @@ Status LsmTree::Checkpoint() {
   ++stats_->wal_rewrites;
 
   // 3. Point the appender at the rewritten log. The writer object (and
-  //    with it the flusher thread or flush-service registration, and
-  //    the interval phase) survives: tearing it down per checkpoint
-  //    used to reset the background-sync clock, letting a sub-interval
-  //    checkpoint cadence postpone interval syncs indefinitely.
+  //    with it the flush-service registration and the interval phase)
+  //    survives: tearing it down per checkpoint used to reset the
+  //    background-sync clock, letting a sub-interval checkpoint cadence
+  //    postpone interval syncs indefinitely.
   if (wal_ != nullptr) {
     return wal_->ReopenAfterRewrite(wal_path);
   }
   Statistics* stats = stats_;
   auto wal_or =
       WalWriter::Open(wal_path, opts_.wal_sync_mode,
-                      opts_.wal_sync_interval_ms,
                       [stats] { ++stats->wal_syncs; }, flush_service_);
   if (!wal_or.ok()) return wal_or.status();
   wal_ = std::move(wal_or).value();

@@ -187,8 +187,8 @@ struct MaintenanceUnit {
 /// between runs unlocked. With `Options::background_maintenance` the tree
 /// never flushes inline — filling the write buffer seals it into an
 /// immutable slot that stays readable (and is consulted by Get/Scan
-/// between the active buffer and the runs) until a flush unit (or
-/// FlushSealedMemtable()) pushes it into level 1; see
+/// between the active buffer and the runs) until a flush unit (or an
+/// explicit Flush()) pushes it into level 1; see
 /// docs/architecture.md ("Concurrency model").
 class LsmTree {
  public:
@@ -240,12 +240,6 @@ class LsmTree {
   /// pending maintenance.
   bool HasSealedMemtable() const { return sealed_ != nullptr; }
 
-  /// Flushes the sealed buffer into level 1 (no-op when none is pending).
-  /// Inline fallback when no scheduler is attached; runs fully under the
-  /// caller's lock. Error contract as Flush(): entries stay in the
-  /// restored buffer, retryable.
-  Status FlushSealedMemtable();
-
   // --- background maintenance protocol (prepare / execute / install) ---
   // The owner (ShardedDB's compaction scheduler) drives one unit at a
   // time per tree:
@@ -293,13 +287,6 @@ class LsmTree {
   /// Runs resident in `level` (1-based; 0 for levels beyond the tree) —
   /// the write-path backpressure signal.
   size_t RunsInLevel(int level) const;
-
-  /// When true, MaintainAfterWrite never flushes inline while a sealed
-  /// buffer is pending: the active buffer keeps absorbing writes over
-  /// capacity and the owner applies backpressure upstream (stalling
-  /// writers until the scheduler drains the debt). PutBatch may overshoot
-  /// the buffer by one batch. Off (inline fallback) by default.
-  void set_deferred_backpressure(bool v) { deferred_backpressure_ = v; }
 
   /// First unrecovered background/write-path failure, or OK. Once
   /// non-OK the tree is in read-only degraded mode: writes and
@@ -354,9 +341,9 @@ class LsmTree {
   /// non-conforming level and merges/pushes its runs into the current
   /// geometry via the normal compaction machinery. `*did_work` is set
   /// true when a step ran, false when the tree already conforms; callers
-  /// (ShardedDB maintenance jobs, DB::ApplyTuning) loop or reschedule
-  /// until it stays false. On failure the level keeps its runs (the step
-  /// simply did not happen) and the call is retryable.
+  /// (ShardedDB maintenance jobs, or its ApplyTuning without them) loop
+  /// or reschedule until it stays false. On failure the level keeps its
+  /// runs (the step simply did not happen) and the call is retryable.
   Status AdvanceMigration(bool* did_work);
 
   /// Epoch/shape progress of the latest reconfiguration.
@@ -396,7 +383,7 @@ class LsmTree {
   //   tree.RecoverFrom(manifest);   // adopt segments, rebuild runs
   //   tree.ReplayWal(wal_path);     // restore the memtable
   //   tree.AttachDurability(dir);   // open the WAL, checkpoint once
-  // DB::Open and ShardedDB::Open drive this; tests may too.
+  // ShardedDB::Open drives this per shard; tests may too.
 
   /// Restores levels, tuning epoch, migration flag and cursors from a
   /// manifest. Requires an empty tree on a persistent FilePageStore;
@@ -412,10 +399,10 @@ class LsmTree {
 
   /// Starts durable operation rooted at `dir`: opens the WAL for
   /// appending and checkpoints once, leaving `dir` consistent. Under
-  /// WalSyncMode::kBackground a non-null `flush_service` (owned by the
-  /// DB/ShardedDB, outliving the tree) drives this tree's periodic WAL
-  /// syncs instead of a per-tree flusher thread — one thread per
-  /// deployment rather than per shard.
+  /// WalSyncMode::kBackground `flush_service` (owned by the ShardedDB,
+  /// outliving the tree) drives this tree's periodic WAL syncs — one
+  /// thread per deployment rather than per shard; without one the WAL
+  /// appender cannot open in that mode (InvalidArgument).
   Status AttachDurability(const std::string& dir,
                           WalFlushService* flush_service = nullptr);
 
@@ -441,9 +428,8 @@ class LsmTree {
   /// buffer — shared by the write path and WAL replay.
   Status MaintainAfterWrite();
   /// Detaches and flushes the sealed buffer (which must exist), without
-  /// checkpointing — shared by FlushSealedMemtable and Flush so the
-  /// detach-before-flush protocol lives in one place. On failure the
-  /// buffer is reinstalled as sealed_ (no entry is lost).
+  /// checkpointing — Flush's first step. On failure the buffer is
+  /// reinstalled as sealed_ (no entry is lost).
   Status FlushSealedInternal();
   /// Appends one entry record to the WAL (no commit — callers group).
   void StageWalRecord(const Entry& e);
@@ -514,8 +500,8 @@ class LsmTree {
   /// deferred-delete purging (null when durability is off).
   FilePageStore* file_store_ = nullptr;
   std::string durable_dir_;  ///< empty until AttachDurability
-  /// Shared background-sync driver (not owned; may be null — the writer
-  /// then runs its own flusher thread under kBackground).
+  /// Shared background-sync driver (not owned; required under
+  /// kBackground, unused by the other sync modes).
   WalFlushService* flush_service_ = nullptr;
   std::unique_ptr<WalWriter> wal_;  ///< null until AttachDurability
   /// The mutable write buffer. Shared: superseded read snapshots keep
@@ -530,8 +516,6 @@ class LsmTree {
   AtomicSnapshotPtr snapshot_;
   /// Highest sequence applied to the memtable (monotone; single writer).
   std::atomic<SeqNum> visible_seq_{0};
-  /// See set_deferred_backpressure().
-  bool deferred_backpressure_ = false;
   /// Arbiter override of the seal threshold (0 = none); see
   /// SetBufferCapacity().
   uint64_t buffer_capacity_override_ = 0;
@@ -549,9 +533,8 @@ class LsmTree {
   std::vector<std::vector<std::shared_ptr<Run>>> levels_;
 };
 
-// Shared open-recover plumbing (DB::Open and ShardedDB::Open drive the
-// same sequence per tree; keeping it here prevents the two recovery
-// paths from drifting).
+// Per-tree open-recover plumbing: ShardedDB::Open drives this sequence
+// once per shard directory.
 
 /// If `dir` holds a manifest, reads it into `m`, folds its persisted
 /// tuning into `opts` (validating the merged options — a CRC-valid

@@ -1,13 +1,14 @@
 // Copyright (c) endure-cpp authors. Licensed under the MIT license.
 //
-// The versioned manifest: one small, atomically-replaced file per tree
-// (per shard, for a ShardedDB) that records everything recovery needs
-// besides the WAL — the run layout per level (segment ids, entry counts,
-// per-run tuning epochs, Bloom budgets), the currently applied tuning,
-// and the migration/sequence cursors. DB::Open on an existing directory
-// reads the manifest, adopts the referenced segment files, rebuilds each
-// run's Bloom filter and fence pointers from its pages, replays the WAL
-// on top, and resumes — mid-migration if that is where the crash landed.
+// The versioned manifest: one small, atomically-replaced file per shard
+// tree (plus a root manifest at the deployment root) that records
+// everything recovery needs besides the WAL — the run layout per level
+// (segment ids, entry counts, per-run tuning epochs, Bloom budgets), the
+// currently applied tuning, and the migration/sequence cursors.
+// ShardedDB::Open on an existing deployment reads each shard's manifest,
+// adopts the referenced segment files, rebuilds each run's Bloom filter
+// and fence pointers from its pages, replays the WAL on top, and resumes
+// — mid-migration if that is where the crash landed.
 // docs/durability.md documents the byte-level format.
 
 #ifndef ENDURE_LSM_MANIFEST_H_
@@ -42,7 +43,7 @@ inline constexpr uint8_t kWalEntryRecord = 1;
 /// the two deployment layouts can never be confused, whatever crash
 /// window the directory's other files were left in.
 enum : uint8_t {
-  kManifestKindTree = 0,         ///< one LsmTree (plain DB, or one shard)
+  kManifestKindTree = 0,         ///< one LsmTree (one shard)
   kManifestKindShardedRoot = 1,  ///< a ShardedDB deployment root
 };
 
@@ -69,7 +70,7 @@ struct ManifestData {
   // Immutable geometry, validated against the opening Options.
   uint64_t entries_per_page = 4;
   int kind = kManifestKindTree;  ///< what this manifest describes
-  int num_shards = 1;  ///< ShardedDB root manifest; 1 for a plain DB
+  int num_shards = 1;  ///< ShardedDB root manifest; 1 in shard manifests
 
   // Recovery cursors.
   uint64_t tuning_epoch = 0;
@@ -100,8 +101,8 @@ StatusOr<ManifestData> ReadManifest(const std::string& path);
 /// recorded budget and the fence pointers from page first-keys. The
 /// rebuilt run is byte-identical in behaviour to the pre-crash one (the
 /// filter is deterministic in the key set and budget). Reading every page
-/// doubles as the recovery scrub: with FilePageStore's scrub_on_recovery
-/// set, a damaged page surfaces here as Corruption and the open fails
+/// doubles as the recovery scrub: FilePageStore verifies every page's
+/// CRC, so a damaged page surfaces here as Corruption and the open fails
 /// instead of serving bad data.
 StatusOr<std::shared_ptr<Run>> RebuildRun(PageStore* store,
                                           const ManifestRun& meta,

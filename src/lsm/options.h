@@ -70,25 +70,26 @@ struct Options {
   /// ShardedDB gives each shard its own subdirectory underneath.
   std::string storage_dir = "/tmp/endure_lsm";
 
-  /// Number of hash-partitioned shards a ShardedDB front-end opens
-  /// (>= 1). Each shard is an independent LsmTree with its own page
-  /// store, statistics and memtable of `buffer_entries` entries; a plain
-  /// DB ignores the knob.
+  /// Number of hash-partitioned shards a ShardedDB opens (>= 1). Each
+  /// shard is an independent LsmTree with its own page store, statistics
+  /// and memtable of `buffer_entries` entries. The experiment harness
+  /// runs one shard.
   int num_shards = 1;
 
   /// When true the engine never flushes inline on a full memtable:
   /// Put/Delete seal the full buffer into an immutable slot that stays
-  /// readable until a maintenance job (ShardedDB's background worker, or
-  /// the next seal as inline fallback) flushes it. When false (default)
-  /// a full memtable flushes inline, preserving the single-threaded
-  /// behaviour the experiments measure.
+  /// readable until ShardedDB's background maintenance flushes it (while
+  /// one sealed buffer is pending, the active one absorbs writes past
+  /// capacity and ShardedDB stalls writers). When false (default) a full
+  /// memtable flushes inline, preserving the single-threaded behaviour
+  /// the experiments measure.
   bool background_maintenance = false;
 
   /// Crash-safe persistence (docs/durability.md): every write is logged
   /// to a per-tree write-ahead log before it is acknowledged, and every
   /// structural change (flush, compaction, migration step, retune)
-  /// publishes a versioned manifest, so DB::Open / ShardedDB::Open on an
-  /// existing storage_dir replays the WAL, rebuilds the levels and
+  /// publishes a versioned manifest, so ShardedDB::Open on an existing
+  /// storage_dir replays the WAL, rebuilds the levels and
   /// resumes the persisted tuning — including a mid-flight migration —
   /// instead of starting empty. Requires the file backend. Off by
   /// default: the experiments measure a volatile engine.
@@ -101,7 +102,10 @@ struct Options {
   /// mode the kill-point tests assert zero acked-write loss under.
   WalSyncMode wal_sync_mode = WalSyncMode::kBackground;
 
-  /// Cadence of the background WAL flusher (kBackground only), >= 1.
+  /// Cadence of the background WAL fsyncs (kBackground only), >= 1. One
+  /// util::WalFlushService thread per deployment syncs every shard's WAL
+  /// serially, so the loss window is this interval plus the tail of the
+  /// current sync pass (see docs/operations.md).
   int wal_sync_interval_ms = 10;
 
   /// Worker threads ShardedDB::Open uses to recover shard directories
@@ -110,36 +114,15 @@ struct Options {
   /// auto-sizes to min(num_shards, hardware threads); 1 forces the
   /// serial open the recovery benchmark baselines against. A fresh
   /// (non-recovering) durable open builds its shard directories on the
-  /// same workers; a plain DB ignores the knob. Operational, not part
-  /// of the persisted tuning: each restart may choose anew.
+  /// same workers. Operational, not part of the persisted tuning: each
+  /// restart may choose anew.
   int recovery_threads = 0;
-
-  /// Under WalSyncMode::kBackground, drive every shard's WAL fsyncs
-  /// from one shared util::WalFlushService thread owned by the
-  /// DB/ShardedDB (default) instead of one interval thread per shard's
-  /// writer. fsync errors still latch per shard; the loss window is
-  /// wal_sync_interval_ms plus the tail of the current sync pass (one
-  /// thread fsyncs the dirty shards serially — see docs/operations.md).
-  /// Disable to reproduce the legacy per-shard-thread topology
-  /// (benchmarks do) or when per-shard fsyncs are slow enough to sum
-  /// past the interval.
-  bool shared_wal_flusher = true;
-
-  /// Verify the per-page CRC on every segment page read (file backend;
-  /// the footer is always written regardless). Catches bit-rot and torn
-  /// pages at the cost of one CRC pass per page read. Immutable at open.
-  bool verify_checksums = true;
-
-  /// Verify page CRCs while rebuilding runs at recovery even when
-  /// verify_checksums is off — a one-time scrub of every referenced page,
-  /// failing the open with Corruption instead of serving damaged data.
-  /// Immutable at open.
-  bool scrub_on_recovery = true;
 
   /// Background maintenance (flush/compaction/migration) retries a failed
   /// job this many times with exponential backoff before declaring the
-  /// fault permanent and latching the tree read-only (see DB::Health and
-  /// docs/operations.md). 0 latches on the first failure.
+  /// fault permanent and latching the shard read-only (see
+  /// ShardedDB::Health and docs/operations.md). 0 latches on the first
+  /// failure.
   int background_max_retries = 4;
 
   /// First retry backoff in milliseconds (doubles per attempt, capped at

@@ -474,9 +474,6 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
     return Status::IOError("segment read from " + path + " failed: " +
                            ErrnoName(errno));
   }
-  const bool verify =
-      verify_checksums_ ||
-      (scrub_on_recovery_ && ctx == IoContext::kRecovery);
   if (got != static_cast<ssize_t>(disk_bytes)) {
     ++stats_->checksum_failures;
     return Status::Corruption("truncated page " + std::to_string(page_idx) +
@@ -484,21 +481,16 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
                               " of " + std::to_string(disk_bytes) +
                               " bytes)");
   }
-  if (verify) {
-    uint32_t stored_count = 0;
-    uint32_t stored_crc = 0;
-    std::memcpy(&stored_count, raw.get() + page_bytes, sizeof(stored_count));
-    std::memcpy(&stored_crc,
-                raw.get() + page_bytes + sizeof(stored_count),
-                sizeof(stored_crc));
-    const uint32_t actual =
-        Crc32(raw.get(), page_bytes + sizeof(stored_count));
-    if (stored_crc != actual || stored_count != count) {
-      ++stats_->checksum_failures;
-      return Status::Corruption(
-          "checksum mismatch on page " + std::to_string(page_idx) + " of " +
-          path);
-    }
+  uint32_t stored_count = 0;
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_count, raw.get() + page_bytes, sizeof(stored_count));
+  std::memcpy(&stored_crc, raw.get() + page_bytes + sizeof(stored_count),
+              sizeof(stored_crc));
+  const uint32_t actual = Crc32(raw.get(), page_bytes + sizeof(stored_count));
+  if (stored_crc != actual || stored_count != count) {
+    ++stats_->checksum_failures;
+    return Status::Corruption("checksum mismatch on page " +
+                              std::to_string(page_idx) + " of " + path);
   }
   scratch->Reserve(entries_per_page_);
   Entry* dst = scratch->data();
@@ -507,11 +499,9 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   }
   scratch->set_size(count);
   stats_->OnPageRead(ctx, 1);
-  // Checksum-verified admission: a page only enters the cache if this
-  // read proved its CRC. With verification off the device is trusted for
-  // reads but not for admission — a cached rotten page would outlive any
-  // later repair of the file.
-  if (verify) CacheAdmit(segment, page_idx, ctx, dst, count);
+  // Checksum-verified admission: a page only enters the cache after this
+  // read proved its CRC, so a rotten page can never be served from it.
+  CacheAdmit(segment, page_idx, ctx, dst, count);
   return PageView{dst, count};
 }
 
@@ -623,15 +613,10 @@ size_t FilePageStore::NumEntries(SegmentId segment) const {
 std::unique_ptr<PageStore> MakePageStore(uint64_t entries_per_page,
                                          Statistics* stats, int backend,
                                          const std::string& dir,
-                                         bool persistent,
-                                         bool verify_checksums,
-                                         bool scrub_on_recovery) {
+                                         bool persistent) {
   if (backend == static_cast<int>(StorageBackend::kFile)) {
-    auto store = std::make_unique<FilePageStore>(entries_per_page, stats,
-                                                 dir, persistent);
-    store->set_verify_checksums(verify_checksums);
-    store->set_scrub_on_recovery(scrub_on_recovery);
-    return store;
+    return std::make_unique<FilePageStore>(entries_per_page, stats, dir,
+                                           persistent);
   }
   return std::make_unique<MemPageStore>(entries_per_page, stats);
 }

@@ -265,12 +265,10 @@ class MemPageStore final : public PageStore {
 /// On-disk page format: each page is PageBytes() of encoded entries
 /// (zero-padded past the valid count) followed by an 8-byte footer —
 /// a little-endian u32 entry count and a u32 CRC-32 (the WAL/manifest
-/// polynomial) over the payload plus the count. The footer is always
-/// written; verification on read is controlled by set_verify_checksums
-/// (every read) and set_scrub_on_recovery (recovery-context reads only),
-/// and a mismatch — bit-rot, a torn page, a truncated file — returns
-/// Corruption and bumps Statistics::checksum_failures instead of serving
-/// the damaged page. See docs/durability.md.
+/// polynomial) over the payload plus the count. Every read verifies the
+/// footer, and a mismatch — bit-rot, a torn page, a truncated file —
+/// returns Corruption and bumps Statistics::checksum_failures instead of
+/// serving the damaged page. See docs/durability.md.
 ///
 /// Two lifetimes:
 /// - Ephemeral (default): segment names carry a per-process instance tag
@@ -308,16 +306,6 @@ class FilePageStore final : public PageStore {
 
   bool persistent() const { return persistent_; }
 
-  /// Verify the page CRC on every read (default on). Off, reads trust the
-  /// device; the footer is still written.
-  void set_verify_checksums(bool v) { verify_checksums_ = v; }
-  bool verify_checksums() const { return verify_checksums_; }
-
-  /// Verify the page CRC on IoContext::kRecovery reads even when
-  /// verify_checksums is off — the recovery-time scrub (default on).
-  void set_scrub_on_recovery(bool v) { scrub_on_recovery_ = v; }
-  bool scrub_on_recovery() const { return scrub_on_recovery_; }
-
   /// Re-registers segment `id` (written by an earlier process) from its
   /// file, verifying the file covers `num_entries` entries. Persistent
   /// stores only; bumps next_id() past `id`.
@@ -333,8 +321,13 @@ class FilePageStore final : public PageStore {
   Status RemoveUnreferencedSegments();
 
   /// First id NewSegmentWriter will hand out; persisted in the manifest
-  /// so ids are never reused across restarts.
-  SegmentId next_id() const { return next_id_; }
+  /// so ids are never reused across restarts. Locked: one maintenance
+  /// unit may be opening a segment while another unit's install
+  /// publishes a manifest.
+  SegmentId next_id() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_id_;
+  }
   void set_next_id(SegmentId id) {
     if (id > next_id_) next_id_ = id;
   }
@@ -363,8 +356,6 @@ class FilePageStore final : public PageStore {
 
   std::string dir_;
   bool persistent_;
-  bool verify_checksums_ = true;
-  bool scrub_on_recovery_ = true;
   std::string instance_tag_;  ///< unique per process+instance (see .cc)
   /// Guards the segment table, id counter, deferred deletes and the
   /// scratch pool. Never held across device I/O: reads copy the fd and
@@ -380,16 +371,12 @@ class FilePageStore final : public PageStore {
 };
 
 /// Factory over Options::backend. `persistent` selects FilePageStore's
-/// durable lifetime; `verify_checksums` / `scrub_on_recovery` configure
-/// its read-side CRC verification (all three ignored by the memory
-/// backend).
+/// durable lifetime (ignored by the memory backend).
 std::unique_ptr<PageStore> MakePageStore(uint64_t entries_per_page,
                                          Statistics* stats,
                                          int backend /* StorageBackend */,
                                          const std::string& dir,
-                                         bool persistent = false,
-                                         bool verify_checksums = true,
-                                         bool scrub_on_recovery = true);
+                                         bool persistent = false);
 
 }  // namespace endure::lsm
 

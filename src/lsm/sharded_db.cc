@@ -33,8 +33,7 @@ Status WriteRootManifest(const std::string& root_dir, const Options& opts,
 ShardedDB::ShardedDB(const Options& options, bool defer_shards)
     : options_(options) {
   if (options_.durability &&
-      options_.wal_sync_mode == WalSyncMode::kBackground &&
-      options_.shared_wal_flusher) {
+      options_.wal_sync_mode == WalSyncMode::kBackground) {
     flush_service_ =
         std::make_unique<WalFlushService>(options_.wal_sync_interval_ms);
   }
@@ -75,13 +74,6 @@ ShardedDB::ShardedDB(const Options& options, bool defer_shards)
     cfg.rate_bytes_per_sec = options_.compaction_rate_bytes_per_sec;
     scheduler_ = std::make_unique<CompactionScheduler>(pool_.get(), cfg,
                                                        &sched_stats_);
-    // With a scheduler attached, a writer that fills the active buffer
-    // while a sealed one is still pending defers to backpressure
-    // (MaybeStallWrites) instead of flushing inline under its own lock
-    // hold.
-    for (auto& shard : shards_) {
-      shard->tree->set_deferred_backpressure(true);
-    }
   }
 }
 
@@ -112,13 +104,13 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
   auto root_existing_or = LoadDurableState(opts.storage_dir, &opts, &root);
   if (!root_existing_or.ok()) return root_existing_or.status();
   if (*root_existing_or) {
-    // Without the kind check a plain-DB directory opened with
+    // Without the kind check a single tree's directory opened with
     // num_shards=1 would recover a fresh empty shard_0 and ignore the
-    // DB's data sitting at the root.
+    // tree's data sitting at the root.
     if (root.kind != kManifestKindShardedRoot) {
       return Status::InvalidArgument(
-          "storage_dir holds a plain DB deployment; open it with "
-          "DB::Open");
+          "storage_dir holds a single-tree manifest at its root, not a "
+          "ShardedDB deployment");
     }
     if (root.num_shards != opts.num_shards) {
       return Status::InvalidArgument(
@@ -174,7 +166,6 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
     Shard* shard = shard_ptr.get();
     std::lock_guard<std::mutex> lock(shard->mu);
     if (db->scheduler_ != nullptr) {
-      shard->tree->set_deferred_backpressure(true);
       db->MaybeScheduleMaintenance(shard);
     } else {
       bool did_work = true;
@@ -205,9 +196,7 @@ Status ShardedDB::RecoverShard(const Options& root_opts, int index,
   shard->store = MakePageStore(shard_opts.entries_per_page, &shard->stats,
                                static_cast<int>(shard_opts.backend),
                                shard_opts.storage_dir,
-                               /*persistent=*/true,
-                               shard_opts.verify_checksums,
-                               shard_opts.scrub_on_recovery);
+                               /*persistent=*/true);
   // Thread-safe across concurrent shard recoveries: registration is one
   // atomic id allocation.
   if (cache_ != nullptr) shard->store->set_block_cache(cache_.get());
@@ -373,8 +362,8 @@ void ShardedDB::MaybeStallWrites(Shard* shard,
                                  std::unique_lock<std::mutex>* lock) {
   if (scheduler_ == nullptr) return;
   // Saturation: the write about to apply has nowhere to go (sealed
-  // buffer pending AND active buffer full — deferred backpressure mode
-  // never flushes inline) or level 1 has accumulated enough flushed runs
+  // buffer pending AND active buffer full — background mode never
+  // flushes inline) or level 1 has accumulated enough flushed runs
   // that reads are degrading faster than compaction is draining them.
   const auto saturated = [&] {
     const Options& topts = shard->tree->options();
@@ -601,8 +590,7 @@ Status ShardedDB::ApplyTuning(const Options& new_options) {
   }
   if (new_options.durability != options_.durability ||
       new_options.wal_sync_mode != options_.wal_sync_mode ||
-      new_options.wal_sync_interval_ms != options_.wal_sync_interval_ms ||
-      new_options.shared_wal_flusher != options_.shared_wal_flusher) {
+      new_options.wal_sync_interval_ms != options_.wal_sync_interval_ms) {
     return Status::InvalidArgument(
         "durability and WAL sync settings cannot change on a live "
         "database");

@@ -1,8 +1,11 @@
 // Copyright (c) endure-cpp authors. Licensed under the MIT license.
 //
-// Concurrent front-end of the storage engine: hash-partitions the key
-// space across Options::num_shards independent LsmTree shards, each
-// guarded by its own mutex. With Options::background_maintenance,
+// The storage engine's public facade: hash-partitions the key space
+// across Options::num_shards independent LsmTree shards, each guarded by
+// its own mutex. One shard without background maintenance is the
+// single-threaded engine the paper's experiments measure (inline
+// flushes, synchronous migration on ApplyTuning); the server runs many
+// shards with background maintenance. With Options::background_maintenance,
 // flushes and compactions run through a CompactionScheduler (priority
 // admission, rate limiting, deadline-based retry) on a util::ThreadPool,
 // using the tree's prepare/execute/install protocol so merge I/O happens
@@ -210,11 +213,14 @@ class ShardedDB {
     return std::unique_lock<std::mutex>(shards_[shard]->mu);
   }
 
-  /// Simulates a crash for the kill-point recovery tests: stops the
-  /// maintenance pool (in-flight jobs finish — a thread cannot be killed
-  /// mid-step; the crash point is after them), then drops every shard's
-  /// WAL writer without the final flush/sync or shutdown checkpoint.
-  /// The instance must only be destroyed afterwards.
+  /// Simulates a *process* kill for the kill-point recovery tests: stops
+  /// the maintenance pool (in-flight jobs finish — a thread cannot be
+  /// killed mid-step; the crash point is after them), then drops every
+  /// shard's WAL writer without the final flush/sync or shutdown
+  /// checkpoint. Committed-but-unsynced write()s survive in the OS page
+  /// cache, as they would a real process death — this does not simulate
+  /// a machine crash losing them. The instance must only be destroyed
+  /// afterwards.
   void CrashForTesting();
 
  private:
@@ -301,10 +307,9 @@ class ShardedDB {
   /// Durable mode: exclusive LOCK-file guard on the deployment root,
   /// held for the instance's lifetime (one process per deployment).
   std::unique_ptr<FileLock> lock_;
-  /// Durable kBackground mode with Options::shared_wal_flusher: the one
-  /// thread driving every shard's WAL fsyncs (instead of one interval
-  /// thread per shard). Declared before shards_ so it outlives the
-  /// writers registered with it.
+  /// Durable kBackground mode: the one thread driving every shard's WAL
+  /// fsyncs. Declared before shards_ so it outlives the writers
+  /// registered with it.
   std::unique_ptr<WalFlushService> flush_service_;
   /// Deployment-wide sharded clock block cache (null when disabled).
   /// Declared before shards_ so it outlives the page stores registered

@@ -61,7 +61,7 @@ enum class IoContext {
   kFlush = 2,
   kCompaction = 3,
   kBulkLoad = 4,
-  kRecovery = 5,  ///< segment reads while rebuilding runs at DB::Open
+  kRecovery = 5,  ///< segment reads while rebuilding runs at open
 };
 
 /// Aggregate counters. Still a value type: cheap to snapshot and diff

@@ -47,8 +47,12 @@ uint32_t Crc32(const void* data, size_t len) {
 // ---------------------------------------------------------------- writer --
 
 StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, WalSyncMode mode, int sync_interval_ms,
+    const std::string& path, WalSyncMode mode,
     std::function<void()> on_sync, WalFlushService* service) {
+  if (mode == WalSyncMode::kBackground && service == nullptr) {
+    return Status::InvalidArgument(
+        "wal " + path + ": background sync mode requires a WalFlushService");
+  }
   if (const FaultOutcome f = CheckFault(FaultSite::kWalOpen); f.err != 0) {
     return Status::IOError("open wal " + path + ": " +
                            std::strerror(f.err) + " (injected)");
@@ -58,7 +62,7 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
     return Status::IOError("open wal " + path + ": " + std::strerror(errno));
   }
   auto writer = std::unique_ptr<WalWriter>(
-      new WalWriter(fd, mode, sync_interval_ms, std::move(on_sync),
+      new WalWriter(fd, mode, std::move(on_sync),
                     mode == WalSyncMode::kBackground ? service : nullptr));
   // Register only once construction is complete: the service thread may
   // sync the writer the moment it appears in the rotation.
@@ -66,33 +70,14 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
   return writer;
 }
 
-WalWriter::WalWriter(int fd, WalSyncMode mode, int sync_interval_ms,
-                     std::function<void()> on_sync, WalFlushService* service)
-    : mode_(mode), on_sync_(std::move(on_sync)), service_(service), fd_(fd) {
-  if (mode_ == WalSyncMode::kBackground && service_ == nullptr) {
-    flusher_ = std::thread([this, sync_interval_ms] {
-      std::unique_lock<std::mutex> lock(mu_);
-      while (!stop_) {
-        cv_.wait_for(lock, std::chrono::milliseconds(sync_interval_ms));
-        if (stop_) break;
-        SyncWithLock(lock);  // error latches in deferred_error_
-      }
-    });
-  }
-}
+WalWriter::WalWriter(int fd, WalSyncMode mode, std::function<void()> on_sync,
+                     WalFlushService* service)
+    : mode_(mode), on_sync_(std::move(on_sync)), service_(service), fd_(fd) {}
 
 WalWriter::~WalWriter() {
   // Leave the sync rotation first: after Deregister returns, no service
   // pass can touch this writer, so the teardown below races nothing.
   if (service_ != nullptr) service_->Deregister(this);
-  if (flusher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    flusher_.join();
-  }
   if (!abandoned_) {
     // A destructor cannot return a Status; a clean-close durability
     // failure must still not pass silently (every other durability
@@ -178,7 +163,7 @@ Status WalWriter::Commit() {
 Status WalWriter::SyncWithLock(std::unique_lock<std::mutex>& lock) {
   if (fd_ < 0) return Status::OK();
   // Nothing committed since the last fsync: skip the syscall (an idle
-  // background flusher would otherwise fsync every interval forever,
+  // background sync would otherwise fsync every interval forever,
   // and wal_syncs would count elapsed time instead of sync work).
   if (bytes_committed_ == synced_bytes_) return Status::OK();
   const uint64_t target = bytes_committed_;
@@ -305,8 +290,7 @@ void WalFlushService::Loop(int sync_interval_ms) {
     // out the pass) are never blocked behind device latency. Clean
     // writers skip the fsync syscall, so an idle fleet costs one mutex
     // round per tick. Errors latch in each writer's deferred_error_
-    // and surface through its own Commit path, exactly as with a
-    // private flusher thread.
+    // and surface through its own Commit path.
     pass = writers_;
     pass_active_ = true;
     lock.unlock();

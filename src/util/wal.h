@@ -44,25 +44,23 @@ uint32_t Crc32(const void* data, size_t len);
 
 /// Appends framed records to a log file. Not internally thread-safe for
 /// Append/Commit — callers serialize them (the engine holds the shard
-/// lock) — but background syncs (the writer's own flusher thread, or a
-/// shared WalFlushService) synchronize internally, so they may run
-/// concurrently with appends.
+/// lock) — but background syncs (a WalFlushService pass) synchronize
+/// internally, so they may run concurrently with appends.
 class WalWriter {
  public:
   /// Opens `path` for appending (created if absent). `on_sync` (optional)
   /// is invoked after every fsync, including those issued by background
   /// flushing — bump a relaxed counter there, nothing heavier. Under
-  /// WalSyncMode::kBackground a non-null `service` drives this writer's
-  /// periodic syncs (the writer registers itself and spawns no thread);
-  /// without one the writer runs its own interval thread. Other modes
-  /// ignore `service`.
+  /// WalSyncMode::kBackground `service` drives this writer's periodic
+  /// syncs (the writer registers itself) and is required: without one
+  /// the open fails with InvalidArgument. Other modes ignore `service`.
   static StatusOr<std::unique_ptr<WalWriter>> Open(
-      const std::string& path, WalSyncMode mode, int sync_interval_ms = 10,
+      const std::string& path, WalSyncMode mode,
       std::function<void()> on_sync = nullptr,
       WalFlushService* service = nullptr);
 
-  /// Flushes and (unless abandoned) syncs outstanding records, then
-  /// closes the file and stops the flusher thread.
+  /// Leaves the flush service's rotation, flushes and (unless
+  /// abandoned) syncs outstanding records, then closes the file.
   ~WalWriter();
   ENDURE_DISALLOW_COPY_AND_ASSIGN(WalWriter);
 
@@ -79,9 +77,9 @@ class WalWriter {
   /// Redirects the writer to the freshly rewritten log at `path` after a
   /// checkpoint: drops staged-but-uncommitted records (the snapshot that
   /// replaced the log covers them) and swaps the appender fd under the
-  /// lock, while the background sync state — the flusher thread or
-  /// flush-service registration, and with it the interval phase — carries
-  /// over untouched. Keeping the writer alive across rewrites is what
+  /// lock, while the background sync state — the flush-service
+  /// registration, and with it the interval phase — carries over
+  /// untouched. Keeping the writer alive across rewrites is what
   /// guarantees a checkpoint can neither postpone the next background
   /// sync by a full fresh interval nor re-sync the already-synced
   /// snapshot. The new log must already be fsynced (the checkpoint
@@ -92,7 +90,7 @@ class WalWriter {
   /// snapshot size by ReopenAfterRewrite.
   uint64_t bytes_committed() const { return bytes_committed_; }
 
-  /// First fsync failure latched by the background flusher (OK when
+  /// First fsync failure latched by a background sync (OK when
   /// none). Commit() also surfaces it; this is for owners about to
   /// retire the writer without another commit (e.g. checkpointing).
   Status deferred_error() const;
@@ -105,20 +103,20 @@ class WalWriter {
   void Abandon();
 
  private:
-  WalWriter(int fd, WalSyncMode mode, int sync_interval_ms,
-            std::function<void()> on_sync, WalFlushService* service);
+  WalWriter(int fd, WalSyncMode mode, std::function<void()> on_sync,
+            WalFlushService* service);
 
   /// fsyncs everything committed so far. Requires `lock` held on mu_;
-  /// releases it around the fsync itself so the flusher's periodic sync
+  /// releases it around the fsync itself so a periodic background sync
   /// never stalls a foreground Commit behind device latency (write()
   /// and fsync() on one fd are safe concurrently).
   Status SyncWithLock(std::unique_lock<std::mutex>& lock);
 
   const WalSyncMode mode_;
   std::function<void()> on_sync_;
-  /// Shared flush service this writer is registered with (null when the
-  /// writer runs its own thread or never background-syncs). The service
-  /// must outlive the writer; the destructor deregisters first.
+  /// Flush service this writer is registered with (null unless
+  /// kBackground). The service must outlive the writer; the destructor
+  /// deregisters first.
   WalFlushService* service_ = nullptr;
   std::string pending_;        ///< staged records since the last Commit
   uint64_t bytes_committed_ = 0;
@@ -138,20 +136,17 @@ class WalWriter {
   /// ReopenAfterRewrite waits it out so the fd it closes can never be
   /// the one an in-flight fsync still references.
   bool sync_in_flight_ = false;
-  bool stop_ = false;          ///< under mu_: tells the flusher to exit
+  /// Signalled when sync_in_flight_ clears.
   std::condition_variable cv_;
-  std::thread flusher_;        ///< joined in the destructor
 };
 
 /// Drives the periodic fsyncs of any number of WalWriters from a single
-/// thread. Under WalSyncMode::kBackground every shard of a deployment
-/// historically ran (and re-created per checkpoint) its own interval
-/// thread; a ShardedDB now owns one of these instead and threads it
-/// through LsmTree::AttachDurability, so a 64-shard deployment syncs
-/// from one thread, not 64. Register/Deregister are thread-safe and may
-/// race a sync pass (Deregister blocks until the pass finishes, so a
-/// writer is never synced after it deregisters). fsync errors latch in
-/// each writer's own deferred_error, exactly as with a private flusher.
+/// thread. Under WalSyncMode::kBackground a ShardedDB owns one of these
+/// and threads it through LsmTree::AttachDurability, so a 64-shard
+/// deployment syncs from one thread, not 64. Register/Deregister are
+/// thread-safe and may race a sync pass (Deregister blocks until the
+/// pass finishes, so a writer is never synced after it deregisters).
+/// fsync errors latch in each writer's own deferred_error.
 class WalFlushService {
  public:
   /// Starts the flush thread; it wakes every `sync_interval_ms` and

@@ -13,7 +13,7 @@ namespace endure {
 /// reached the device (see util/wal.h and docs/durability.md).
 enum class WalSyncMode {
   kNone = 0,        ///< never fsync while running (clean close still syncs)
-  kBackground = 1,  ///< a flusher thread fsyncs every sync_interval_ms
+  kBackground = 1,  ///< a WalFlushService fsyncs every sync_interval_ms
   kPerBatch = 2,    ///< fsync inside every Commit (strongest, slowest)
 };
 

@@ -87,6 +87,65 @@ TEST(ExperimentTest, WriteSessionsProduceCompactionTraffic) {
   EXPECT_GT(r[0].write_io, 0.0);
 }
 
+// Pins the paper-experiment I/O exactly: at a fixed scale, seed and
+// session sequence, every measured page count is deterministic, so any
+// change to the engine path under ExperimentRunner that moves a single
+// page shows up here. The constants were recorded on the engine before
+// the experiments moved onto a one-shard ShardedDB; leveling and tiering
+// both flush and compact during the write-bearing sessions.
+TEST(ExperimentTest, MeasuredIoIsPinnedAtFixedScaleAndSeed) {
+  struct Pinned {
+    double measured, point, range, write;
+  };
+  const struct {
+    Tuning tuning;
+    std::vector<Pinned> sessions;
+  } kCases[] = {
+      {Tuning(Policy::kLeveling, 6.0, 5.0),
+       {{0.49333333333333335, 0.51351351351351349, 1, 0.13333333333333333},
+        {1.2566666666666666, 0.63888888888888884, 1.2945736434108528,
+         3.3333333333333335},
+        {0.28000000000000003, 0.16967509025270758, 1.5, 1.6470588235294117},
+        {1, 0.91911764705882348, 1.1666666666666667, 2.25},
+        {2.4733333333333332, 0.62745098039215685, 1, 2.8663967611336032},
+        {1.1333333333333333, 0.60563380281690138, 1.3404255319148937, 2}}},
+      {Tuning(Policy::kTiering, 4.0, 3.0),
+       {{0.7466666666666667, 0.70270270270270274, 3.4545454545454546,
+         0.13333333333333333},
+        {2.8733333333333335, 0.88888888888888884, 3.2015503875968991,
+         0.66666666666666663},
+        {0.52000000000000002, 0.48014440433212996, 3.1666666666666665,
+         0.23529411764705882},
+        {1.1466666666666667, 0.99264705882352944, 3.1666666666666665, 2.25},
+        {1.2766666666666666, 0.86274509803921573, 3.5, 1.3441295546558705},
+        {1.51, 0.73239436619718312, 3.2021276595744679, 0.75}}},
+  };
+  SystemConfig cfg;
+  ExperimentOptions eopts;
+  eopts.actual_entries = 4000;
+  eopts.queries_per_workload = 150;
+  eopts.seed = 11;
+  ExperimentRunner runner(cfg, eopts);
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.tuning.ToString());
+    Rng rng(12);
+    workload::SessionOptions sopts;
+    sopts.workloads_per_session = 2;
+    workload::SessionGenerator gen(Workload(0.25, 0.25, 0.25, 0.25), &rng,
+                                   sopts);
+    const auto results = runner.Run(c.tuning, gen.MixedSequence());
+    ASSERT_EQ(results.size(), c.sessions.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_DOUBLE_EQ(results[i].measured_io_per_query,
+                       c.sessions[i].measured);
+      EXPECT_DOUBLE_EQ(results[i].point_io, c.sessions[i].point);
+      EXPECT_DOUBLE_EQ(results[i].range_io, c.sessions[i].range);
+      EXPECT_DOUBLE_EQ(results[i].write_io, c.sessions[i].write);
+    }
+  }
+}
+
 TEST(ExperimentTest, FormatMeasurementContainsFields) {
   SessionMeasurement m;
   m.kind = workload::SessionKind::kRange;

@@ -43,11 +43,17 @@ TEST(TunedDbTest, LevelCountInvariantAcrossScale) {
   }
 }
 
-TEST(TunedDbTest, OpenTunedDbLoadsEvenKeys) {
+class TunedDbShardsTest : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, TunedDbShardsTest,
+                         ::testing::Values(1, 4));
+
+TEST_P(TunedDbShardsTest, OpenTunedShardedDbLoadsEvenKeys) {
   SystemConfig cfg;
-  auto db = OpenTunedDb(cfg, Tuning(Policy::kLeveling, 6.0, 5.0), 5000);
+  auto db = OpenTunedShardedDb(cfg, Tuning(Policy::kLeveling, 6.0, 5.0), 5000,
+                               GetParam(), /*background_maintenance=*/false);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->tree().TotalEntries(), 5000u);
+  EXPECT_EQ((*db)->TotalEntries(), 5000u);
   EXPECT_TRUE((*db)->Get(2 * 4999).has_value());
   EXPECT_FALSE((*db)->Get(2 * 4999 + 1).has_value());
 }

@@ -7,7 +7,7 @@
 #include <map>
 #include <tuple>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/random.h"
 
 namespace endure::lsm {
@@ -32,9 +32,9 @@ TEST_P(EngineSoakTest, RandomOpsMatchReference) {
   o.filter_bits_per_entry = 6.0;
   o.backend = c.backend;
   o.storage_dir = "/tmp/endure_soak";
-  auto db_or = DB::Open(o);
+  auto db_or = ShardedDB::Open(o);
   ASSERT_TRUE(db_or.ok());
-  DB* db = db_or->get();
+  ShardedDB* db = db_or->get();
 
   std::map<Key, Value> ref;
   Rng rng(1000 + c.size_ratio +
@@ -108,9 +108,9 @@ TEST(EngineInvariantTest, BulkLoadThenSoakKeepsStructure) {
   o.size_ratio = 4;
   o.buffer_entries = 32;
   o.entries_per_page = 4;
-  auto db_or = DB::Open(o);
+  auto db_or = ShardedDB::Open(o);
   ASSERT_TRUE(db_or.ok());
-  DB* db = db_or->get();
+  ShardedDB* db = db_or->get();
   std::vector<std::pair<Key, Value>> pairs;
   for (Key k = 0; k < 2000; ++k) pairs.emplace_back(2 * k, k);
   ASSERT_TRUE(db->BulkLoad(pairs).ok());
@@ -120,7 +120,7 @@ TEST(EngineInvariantTest, BulkLoadThenSoakKeepsStructure) {
     db->Put(rng.UniformInt(0, 10000) * 2, i);
   }
   // Leveling invariant after churn: at most one run per level.
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     EXPECT_LE(info.num_runs, 1u) << "level " << info.level;
   }
   // All originally loaded keys still readable (possibly updated).

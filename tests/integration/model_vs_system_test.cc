@@ -19,27 +19,31 @@ class ModelVsSystemTest : public ::testing::Test {
 
   // Measures average empty-point-query page reads under `t`.
   double MeasureZ0(const Tuning& t) {
-    auto db = OpenTunedDb(cfg_, t, eopts_.actual_entries);
+    auto db = OpenTunedShardedDb(cfg_, t, eopts_.actual_entries,
+                                 /*num_shards=*/1,
+                                 /*background_maintenance=*/false);
     workload::KeyUniverse universe(eopts_.actual_entries);
     Rng rng(7);
-    const lsm::Statistics before = (*db)->stats();
+    const lsm::Statistics before = (*db)->TotalStats();
     const int n = 2000;
     for (int i = 0; i < n; ++i) (*db)->Get(universe.SampleMissing(&rng));
-    const lsm::Statistics d = (*db)->stats().Delta(before);
+    const lsm::Statistics d = (*db)->TotalStats().Delta(before);
     return static_cast<double>(d.point_pages_read) / n;
   }
 
   // Measures average non-empty-point-query page reads under `t`.
   double MeasureZ1(const Tuning& t) {
-    auto db = OpenTunedDb(cfg_, t, eopts_.actual_entries);
+    auto db = OpenTunedShardedDb(cfg_, t, eopts_.actual_entries,
+                                 /*num_shards=*/1,
+                                 /*background_maintenance=*/false);
     workload::KeyUniverse universe(eopts_.actual_entries);
     Rng rng(8);
-    const lsm::Statistics before = (*db)->stats();
+    const lsm::Statistics before = (*db)->TotalStats();
     const int n = 2000;
     for (int i = 0; i < n; ++i) {
       EXPECT_TRUE((*db)->Get(universe.SampleExisting(&rng)).has_value());
     }
-    const lsm::Statistics d = (*db)->stats().Delta(before);
+    const lsm::Statistics d = (*db)->TotalStats().Delta(before);
     return static_cast<double>(d.point_pages_read) / n;
   }
 
@@ -96,16 +100,18 @@ TEST_F(ModelVsSystemTest, RangeQueryIoScalesWithRuns) {
   // Leveling should serve short scans with fewer page touches than
   // tiering at equal T (fewer runs per level).
   auto measure_range = [&](const Tuning& t) {
-    auto db = OpenTunedDb(cfg_, t, eopts_.actual_entries);
+    auto db = OpenTunedShardedDb(cfg_, t, eopts_.actual_entries,
+                                 /*num_shards=*/1,
+                                 /*background_maintenance=*/false);
     workload::KeyUniverse universe(eopts_.actual_entries);
     Rng rng(9);
-    const lsm::Statistics before = (*db)->stats();
+    const lsm::Statistics before = (*db)->TotalStats();
     const int n = 500;
     for (int i = 0; i < n; ++i) {
       const lsm::Key lo = universe.SampleExisting(&rng);
       (void)(*db)->Scan(lo, lo + 8);
     }
-    const lsm::Statistics d = (*db)->stats().Delta(before);
+    const lsm::Statistics d = (*db)->TotalStats().Delta(before);
     return static_cast<double>(d.range_pages_read) / n;
   };
   const double level = measure_range(Tuning(Policy::kLeveling, 5.0, 5.0));

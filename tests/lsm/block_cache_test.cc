@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "lsm/block_cache.h"
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
 #include "lsm/statistics.h"
 
@@ -157,7 +156,7 @@ TEST(BlockCacheOptionsTest, CannotEnableCacheAfterOpen) {
   // retune may resize it (including to 0 = pass-through) but not conjure
   // one up.
   Options o;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   Options with_cache = o;
   with_cache.block_cache_bytes = 1 << 16;
@@ -165,7 +164,7 @@ TEST(BlockCacheOptionsTest, CannotEnableCacheAfterOpen) {
 
   Options cached = o;
   cached.block_cache_bytes = 1 << 16;
-  auto db2 = DB::Open(cached);
+  auto db2 = ShardedDB::Open(cached);
   ASSERT_TRUE(db2.ok());
   ASSERT_NE((*db2)->block_cache(), nullptr);
   Options resized = cached;

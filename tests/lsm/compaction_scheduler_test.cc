@@ -323,9 +323,9 @@ class MaintenanceProtocolTest : public ::testing::Test {
   MaintenanceProtocolTest()
       : store_(4, &stats_), tree_(TreeOpts(), &store_, &stats_) {}
 
-  /// Puts exactly enough keys to seal the active buffer.
+  /// Puts exactly enough keys to seal the active buffer (no scheduler is
+  /// attached, so the sealed buffer stays pending).
   void FillToSeal(Key base) {
-    tree_.set_deferred_backpressure(true);  // keep sealed_ pending
     for (Key k = 0; k < 17; ++k) {
       ASSERT_TRUE(tree_.Put(base + 2 * k, base + k).ok());
     }
@@ -360,6 +360,37 @@ TEST_F(MaintenanceProtocolTest, FlushUnitMovesSealedBufferIntoLevelOne) {
   for (Key k = 0; k < 16; ++k) {
     ASSERT_TRUE(tree_.Get(2 * k).has_value()) << k;
   }
+}
+
+TEST_F(MaintenanceProtocolTest, OverFullBufferWaitsForThePendingFlush) {
+  // Background mode never flushes inline: with a sealed buffer pending,
+  // the active buffer absorbs writes past capacity, and the first write
+  // after the pending flush installs seals it.
+  FillToSeal(0);
+  for (Key k = 0; k < 20; ++k) {
+    ASSERT_TRUE(tree_.Put(1000 + k, k).ok());
+  }
+  EXPECT_GT(tree_.memtable().size(), TreeOpts().buffer_entries);
+  EXPECT_EQ(stats_.flushes.load(), 0u);
+
+  MaintenanceUnit unit = tree_.PrepareMaintenance();
+  ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());
+  EXPECT_FALSE(tree_.HasSealedMemtable());
+
+  ASSERT_TRUE(tree_.Put(2000, 1).ok());
+  EXPECT_TRUE(tree_.HasSealedMemtable());
+  EXPECT_EQ(tree_.memtable().size(), 0u);
+  DrainMaintenance();
+  EXPECT_FALSE(tree_.HasSealedMemtable());
+  for (Key k = 0; k < 17; ++k) {
+    ASSERT_EQ(tree_.Get(2 * k).value_or(~0ull), k) << k;
+  }
+  for (Key k = 0; k < 20; ++k) {
+    ASSERT_EQ(tree_.Get(1000 + k).value_or(~0ull), k) << k;
+  }
+  ASSERT_EQ(tree_.Get(2000).value_or(0), 1u);
 }
 
 TEST_F(MaintenanceProtocolTest, StaleFlushUnitDiscardsAfterForegroundFlush) {
@@ -412,7 +443,6 @@ TEST_F(MaintenanceProtocolTest, StaleCompactionUnitDiscardsWhenInputsMoved) {
   // A racing foreground Flush cascades through level 1 before install:
   // the unit's inputs are no longer resident.
   FillToSeal(200);
-  tree_.set_deferred_backpressure(false);
   ASSERT_TRUE(tree_.Flush().ok());
   const uint64_t entries_before = tree_.TotalEntries();
   ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());

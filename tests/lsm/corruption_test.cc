@@ -1,17 +1,20 @@
-// On-disk corruption detection: per-page CRC32 verification at runtime
-// (Options::verify_checksums) and at recovery (Options::scrub_on_recovery),
+// On-disk corruption detection: per-page CRC32 verification on every
+// segment read — at recovery (the open-time scrub of every referenced
+// page) and at runtime (the file backend preads on every cache miss) —
 // plus the manifest-length cross-check for truncated segment files. The
-// damage is inflicted on the real files between closes — no fault
-// injector, just a hex editor's view of the deployment directory.
+// damage is inflicted on the real files, between closes or under a live
+// deployment — no fault injector, just a hex editor's view of the
+// deployment directory.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/status.h"
 
@@ -37,10 +40,13 @@ Options DurableOpts(const std::string& dir) {
   return o;
 }
 
-/// Paths of every persistent segment file in `dir`, sorted.
-std::vector<std::string> SegmentFiles(const std::string& dir) {
+/// Paths of every persistent segment file of shard `shard` of the
+/// deployment rooted at `dir`, sorted.
+std::vector<std::string> SegmentFiles(const std::string& dir,
+                                      int shard = 0) {
   std::vector<std::string> out;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+  for (const auto& e : std::filesystem::directory_iterator(
+           dir + "/shard_" + std::to_string(shard))) {
     const std::string name = e.path().filename().string();
     if (name.rfind("seg_", 0) == 0 &&
         name.size() > 8 && name.substr(name.size() - 4) == ".run") {
@@ -65,7 +71,7 @@ void FlipByte(const std::string& path, std::streamoff offset) {
 
 /// Builds a deployment with one flushed run of keys [0, n) and closes it.
 void SeedDeployment(const Options& opts, Key n) {
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < n; ++k) {
     ASSERT_TRUE((*db)->Put(k, k + 100).ok());
@@ -82,10 +88,35 @@ TEST(CorruptionTest, RecoveryScrubRejectsBitFlippedSegment) {
   ASSERT_FALSE(segs.empty());
   FlipByte(segs.front(), 4);  // inside the first page's payload
 
-  auto reopened = DB::Open(opts);
+  auto reopened = ShardedDB::Open(opts);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
       << reopened.status().message();
+}
+
+TEST(CorruptionTest, RecoveryScrubCoversEveryShard) {
+  // The open-time scrub runs per shard on the parallel open: rot in the
+  // last shard fails the whole open, and undoing the flip proves that
+  // one page was the only thing standing between it and a clean reopen.
+  const std::string dir = FreshDir("scrub_every_shard");
+  Options opts = DurableOpts(dir);
+  opts.num_shards = 4;
+  SeedDeployment(opts, 512);
+
+  const std::vector<std::string> segs = SegmentFiles(dir, 3);
+  ASSERT_FALSE(segs.empty());
+  FlipByte(segs.front(), 4);
+  auto reopened = ShardedDB::Open(opts);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+      << reopened.status().message();
+
+  FlipByte(segs.front(), 4);
+  auto restored = ShardedDB::Open(opts);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  for (Key k = 0; k < 512; ++k) {
+    ASSERT_EQ((*restored)->Get(k).value_or(0), k + 100) << k;
+  }
 }
 
 TEST(CorruptionTest, TruncatedSegmentFailsRecovery) {
@@ -100,64 +131,40 @@ TEST(CorruptionTest, TruncatedSegmentFailsRecovery) {
   ASSERT_GT(size, 16u);
   std::filesystem::resize_file(victim, size / 2);
 
-  auto reopened = DB::Open(opts);
+  auto reopened = ShardedDB::Open(opts);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
       << reopened.status().message();
 }
 
-TEST(CorruptionTest, ScrubOffDefersDetectionToFirstRead) {
-  const std::string dir = FreshDir("scrub_off");
-  Options opts = DurableOpts(dir);
-  SeedDeployment(opts, 64);
-
-  const std::vector<std::string> segs = SegmentFiles(dir);
-  ASSERT_FALSE(segs.empty());
-  FlipByte(segs.front(), 4);
-
-  // Without the recovery scrub the open succeeds (fences and filters are
-  // rebuilt from what the pages claim), but runtime verification catches
-  // the damage on the first point read that touches the bad page.
-  opts.scrub_on_recovery = false;
-  opts.verify_checksums = true;
-  auto db = DB::Open(opts);
-  // Recovery still reads every page to rebuild filters, so a checksum-
-  // verifying read path may legitimately refuse the open too; both
-  // detect-at-open and detect-at-read satisfy the no-silent-serving bar.
-  if (!db.ok()) {
-    EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
-    return;
-  }
-  EXPECT_EQ((*db)->Get(0), std::nullopt);  // page 0 holds keys 0..3
-  EXPECT_FALSE((*db)->Health().ok());
-  EXPECT_GE((*db)->stats().checksum_failures.load(), 1u);
+/// Opens the deployment seeded at `opts` (every page verifies at
+/// recovery), then flips a byte inside the first page of its first
+/// segment under the live instance — page 0 holds keys 0..3.
+std::unique_ptr<ShardedDB> OpenThenRot(const Options& opts) {
+  auto db = ShardedDB::Open(opts);
+  EXPECT_TRUE(db.ok()) << db.status().message();
+  if (!db.ok()) return nullptr;
+  const std::vector<std::string> segs = SegmentFiles(opts.storage_dir);
+  EXPECT_FALSE(segs.empty());
+  if (!segs.empty()) FlipByte(segs.front(), 4);
+  return std::move(db).value();
 }
 
 TEST(CorruptionTest, RuntimeChecksumFailureLatchesReadOnly) {
-  const std::string dir = FreshDir("runtime_latch");
-  Options opts = DurableOpts(dir);
-  opts.scrub_on_recovery = false;  // let the damaged deployment open
+  const Options opts = DurableOpts(FreshDir("runtime_latch"));
   SeedDeployment(opts, 64);
-
-  const std::vector<std::string> segs = SegmentFiles(dir);
-  ASSERT_FALSE(segs.empty());
-  FlipByte(segs.front(), 4);
-
-  auto db = DB::Open(opts);
-  if (!db.ok()) {
-    // Filter rebuild already tripped over the page — equally acceptable.
-    EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
-    return;
-  }
+  auto db = OpenThenRot(opts);
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(::testing::Test::HasFailure());
   // The corrupted page misses rather than serving damaged bytes...
-  EXPECT_EQ((*db)->Get(0), std::nullopt);
-  // ...and the tree latches read-only: writes are refused from now on.
-  const Status health = (*db)->Health();
+  EXPECT_EQ(db->Get(0), std::nullopt);
+  // ...and the shard latches read-only: writes are refused from now on.
+  const Status health = db->Health();
   ASSERT_FALSE(health.ok());
   EXPECT_EQ(health.code(), StatusCode::kCorruption);
-  EXPECT_FALSE((*db)->Put(1000, 1).ok());
-  EXPECT_GE((*db)->stats().read_only_transitions.load(), 1u);
-  EXPECT_GE((*db)->stats().checksum_failures.load(), 1u);
+  EXPECT_FALSE(db->Put(1000, 1).ok());
+  EXPECT_GE(db->TotalStats().read_only_transitions.load(), 1u);
+  EXPECT_GE(db->TotalStats().checksum_failures.load(), 1u);
 }
 
 TEST(CorruptionTest, BitRotIsNeverAdmittedToBlockCache) {
@@ -166,69 +173,109 @@ TEST(CorruptionTest, BitRotIsNeverAdmittedToBlockCache) {
   // every retry re-reads the device, fails verification again, and
   // misses. A cache hit on rotted bytes would silently launder the
   // corruption past the verifier.
-  const std::string dir = FreshDir("cache_bitrot");
-  Options opts = DurableOpts(dir);
-  opts.scrub_on_recovery = false;  // let the damaged deployment open
+  Options opts = DurableOpts(FreshDir("cache_bitrot"));
   SeedDeployment(opts, 64);
-
-  const std::vector<std::string> segs = SegmentFiles(dir);
-  ASSERT_FALSE(segs.empty());
-  FlipByte(segs.front(), 4);  // inside the first page's payload
-
   opts.block_cache_bytes = 256 * 1024;
-  auto db = DB::Open(opts);
-  if (!db.ok()) {
-    // Filter rebuild already tripped over the page — equally acceptable.
-    EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
-    return;
-  }
+  auto db = OpenThenRot(opts);
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(::testing::Test::HasFailure());
   constexpr int kAttempts = 5;
   for (int i = 0; i < kAttempts; ++i) {
-    EXPECT_EQ((*db)->Get(0), std::nullopt);  // page 0 holds keys 0..3
+    EXPECT_EQ(db->Get(0), std::nullopt);
   }
-  EXPECT_EQ((*db)->stats().cache_hits.load(), 0u);
-  EXPECT_GE((*db)->stats().checksum_failures.load(),
+  const Statistics stats = db->TotalStats();
+  EXPECT_EQ(stats.cache_hits.load(), 0u);
+  EXPECT_GE(stats.checksum_failures.load(),
             static_cast<uint64_t>(kAttempts));
-  EXPECT_GE((*db)->stats().cache_misses.load(),
-            static_cast<uint64_t>(kAttempts));
+  EXPECT_GE(stats.cache_misses.load(), static_cast<uint64_t>(kAttempts));
 }
 
 TEST(CorruptionTest, VerifiedPagesAreServedFromCacheAfterBitRotElsewhere) {
   // The flip side of checksum-verified admission: pages that DID verify
   // are admitted and repeat reads hit the cache — even while a rotted
-  // page elsewhere in the deployment keeps the tree latched read-only —
+  // page elsewhere in the deployment keeps the shard latched read-only —
   // and serving a hit never re-runs (or re-fails) verification.
-  const std::string dir = FreshDir("cache_clean_pages");
-  Options opts = DurableOpts(dir);
-  opts.scrub_on_recovery = false;
+  Options opts = DurableOpts(FreshDir("cache_clean_pages"));
   SeedDeployment(opts, 64);
-
-  const std::vector<std::string> segs = SegmentFiles(dir);
-  ASSERT_FALSE(segs.empty());
-  FlipByte(segs.front(), 4);
-
   opts.block_cache_bytes = 256 * 1024;
-  auto db = DB::Open(opts);
-  if (!db.ok()) {
-    EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
-    return;
-  }
+  auto db = OpenThenRot(opts);
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(::testing::Test::HasFailure());
   // A key far from the damaged first page: first read admits, the
   // second hits.
-  ASSERT_EQ((*db)->Get(40).value_or(0), 140u);
-  const uint64_t hits_before = (*db)->stats().cache_hits.load();
-  ASSERT_EQ((*db)->Get(40).value_or(0), 140u);
-  EXPECT_GT((*db)->stats().cache_hits.load(), hits_before);
+  ASSERT_EQ(db->Get(40).value_or(0), 140u);
+  const uint64_t hits_before = db->TotalStats().cache_hits.load();
+  ASSERT_EQ(db->Get(40).value_or(0), 140u);
+  EXPECT_GT(db->TotalStats().cache_hits.load(), hits_before);
 
   // Now trip the rotted page, then confirm cached serving of the clean
   // page still works and the failure count stops moving when hits serve.
-  EXPECT_EQ((*db)->Get(0), std::nullopt);
-  const uint64_t failures = (*db)->stats().checksum_failures.load();
+  EXPECT_EQ(db->Get(0), std::nullopt);
+  EXPECT_FALSE(db->Health().ok());
+  const uint64_t failures = db->TotalStats().checksum_failures.load();
   EXPECT_GE(failures, 1u);
-  const uint64_t hits_mid = (*db)->stats().cache_hits.load();
-  ASSERT_EQ((*db)->Get(40).value_or(0), 140u);
-  EXPECT_GT((*db)->stats().cache_hits.load(), hits_mid);
-  EXPECT_EQ((*db)->stats().checksum_failures.load(), failures);
+  const uint64_t hits_mid = db->TotalStats().cache_hits.load();
+  ASSERT_EQ(db->Get(40).value_or(0), 140u);
+  EXPECT_GT(db->TotalStats().cache_hits.load(), hits_mid);
+  EXPECT_EQ(db->TotalStats().checksum_failures.load(), failures);
+}
+
+TEST(CorruptionTest, ScanOverRottedPageFailsInsteadOfTruncating) {
+  // A scan that reads the rotted page fails with the checksum status — a
+  // result missing that page's keys would read as deletions — and
+  // latches the shard; a scan that never touches the page still serves
+  // its whole range.
+  const Options opts = DurableOpts(FreshDir("scan_rot"));
+  SeedDeployment(opts, 64);
+  auto db = OpenThenRot(opts);
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  const StatusOr<std::vector<Entry>> damaged = db->Scan(0, 8);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption)
+      << damaged.status().message();
+  EXPECT_EQ(db->Health().code(), StatusCode::kCorruption);
+  EXPECT_GE(db->TotalStats().checksum_failures.load(), 1u);
+
+  const StatusOr<std::vector<Entry>> clean = db->Scan(40, 48);
+  ASSERT_TRUE(clean.ok()) << clean.status().message();
+  ASSERT_EQ(clean->size(), 8u);
+  for (Key i = 0; i < 8; ++i) {
+    EXPECT_EQ((*clean)[i].key, 40 + i);
+    EXPECT_EQ((*clean)[i].value, 140 + i);
+  }
+}
+
+TEST(CorruptionTest, MergeOverRottedPageLatchesAndInstallsNothing) {
+  // A merge reads every page of its inputs, so the first inline flush
+  // that merges into the damaged run fails verification: the write that
+  // triggered it is refused with the checksum status, the shard latches,
+  // and the damaged run stays resident — the failed merge installs no
+  // output that silently lacks the rotted page's keys.
+  const Options opts = DurableOpts(FreshDir("merge_rot"));
+  SeedDeployment(opts, 64);
+  auto db = OpenThenRot(opts);
+  ASSERT_NE(db, nullptr);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  Status first_error;
+  Key next = 1000;
+  for (; next < 1000 + 4 * opts.buffer_entries; ++next) {
+    first_error = db->Put(next, next);
+    if (!first_error.ok()) break;
+  }
+  ASSERT_FALSE(first_error.ok()) << "no merge read the rotted page";
+  EXPECT_EQ(first_error.code(), StatusCode::kCorruption)
+      << first_error.message();
+  EXPECT_EQ(db->Health().code(), StatusCode::kCorruption);
+  EXPECT_FALSE(db->Put(5000, 1).ok());
+  EXPECT_GE(db->TotalStats().checksum_failures.load(), 1u);
+  EXPECT_GE(db->TotalStats().read_only_transitions.load(), 1u);
+  for (Key k = 1000; k < next; ++k) {
+    ASSERT_EQ(db->Get(k).value_or(0), k) << k;
+  }
+  for (Key k = 4; k < 64; ++k) {
+    ASSERT_EQ(db->Get(k).value_or(0), k + 100) << k;
+  }
 }
 
 TEST(CorruptionTest, UndamagedDeploymentScrubsClean) {
@@ -236,13 +283,13 @@ TEST(CorruptionTest, UndamagedDeploymentScrubsClean) {
   Options opts = DurableOpts(dir);
   SeedDeployment(opts, 256);  // several pages and a compaction or two
 
-  auto db = DB::Open(opts);  // scrub_on_recovery is on by default
+  auto db = ShardedDB::Open(opts);  // recovery verifies every page
   ASSERT_TRUE(db.ok()) << db.status().message();
   for (Key k = 0; k < 256; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 100) << k;
   }
   EXPECT_TRUE((*db)->Health().ok());
-  EXPECT_EQ((*db)->stats().checksum_failures.load(), 0u);
+  EXPECT_EQ((*db)->TotalStats().checksum_failures.load(), 0u);
 }
 
 }  // namespace

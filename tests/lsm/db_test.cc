@@ -1,6 +1,9 @@
-#include "lsm/db.h"
+// Basic key-value API of the engine facade in the configuration the
+// experiments run: one shard, foreground (inline) maintenance.
 
 #include <gtest/gtest.h>
+
+#include "lsm/sharded_db.h"
 
 namespace endure::lsm {
 namespace {
@@ -17,13 +20,13 @@ Options TestOptions() {
 TEST(DbTest, OpenRejectsInvalidOptions) {
   Options o = TestOptions();
   o.size_ratio = 1;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   EXPECT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DbTest, BasicCrud) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   (*db)->Put(1, 10);
   (*db)->Put(2, 20);
@@ -34,7 +37,7 @@ TEST(DbTest, BasicCrud) {
 }
 
 TEST(DbTest, BulkLoadThenRead) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   std::vector<std::pair<Key, Value>> pairs;
   for (Key k = 0; k < 300; ++k) pairs.emplace_back(2 * k, k);
@@ -44,21 +47,21 @@ TEST(DbTest, BulkLoadThenRead) {
 }
 
 TEST(DbTest, BulkLoadRejectsUnsortedInput) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   const Status s = (*db)->BulkLoad({{4, 1}, {2, 2}});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DbTest, BulkLoadRejectsDuplicateKeys) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   const Status s = (*db)->BulkLoad({{2, 1}, {2, 2}});
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DbTest, BulkLoadRequiresEmptyDb) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   (*db)->Put(1, 1);
   const Status s = (*db)->BulkLoad({{2, 2}});
@@ -66,20 +69,20 @@ TEST(DbTest, BulkLoadRequiresEmptyDb) {
 }
 
 TEST(DbTest, StatsAccumulate) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < 100; ++k) (*db)->Put(k, k);
   (*db)->Get(5);
-  EXPECT_EQ((*db)->stats().writes, 100u);
-  EXPECT_EQ((*db)->stats().gets, 1u);
-  EXPECT_GT((*db)->stats().flushes, 0u);
+  EXPECT_EQ((*db)->TotalStats().writes, 100u);
+  EXPECT_EQ((*db)->TotalStats().gets, 1u);
+  EXPECT_GT((*db)->TotalStats().flushes, 0u);
 }
 
 TEST(DbTest, FileBackendEndToEnd) {
   Options o = TestOptions();
   o.backend = StorageBackend::kFile;
   o.storage_dir = "/tmp/endure_db_test";
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < 200; ++k) (*db)->Put(k * 2, k);
   for (Key k = 0; k < 200; ++k) {
@@ -91,11 +94,11 @@ TEST(DbTest, FileBackendEndToEnd) {
 }
 
 TEST(DbTest, FlushExposed) {
-  auto db = DB::Open(TestOptions());
+  auto db = ShardedDB::Open(TestOptions());
   ASSERT_TRUE(db.ok());
   (*db)->Put(1, 1);
   (*db)->Flush();
-  EXPECT_TRUE((*db)->tree().memtable().empty());
+  EXPECT_TRUE((*db)->shard_tree(0).memtable().empty());
   EXPECT_EQ((*db)->Get(1).value(), 1u);
 }
 

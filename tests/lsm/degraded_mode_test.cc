@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <string>
 
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/fault_injection.h"
@@ -121,10 +120,10 @@ TEST(DegradedModeTest, PermanentFaultLatchesShardReadOnly) {
   ASSERT_TRUE((*reopened)->Put(9999, 1).ok());
 }
 
-TEST(DegradedModeTest, ForegroundWriteFailureLatchesPlainDb) {
+TEST(DegradedModeTest, ForegroundWriteFailureLatchesReadOnly) {
   const std::string dir = FreshDir("foreground");
   Options opts = BaseOpts(dir);  // no background maintenance: inline flush
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   ASSERT_TRUE(db.ok());
 
   ScopedFaultInjector fi;
@@ -148,14 +147,14 @@ TEST(DegradedModeTest, ForegroundWriteFailureLatchesPlainDb) {
   EXPECT_FALSE((*db)->Put(0, 1).ok());
   EXPECT_EQ(fi->fired(FaultSite::kSegmentWrite), fired_before);
   EXPECT_FALSE((*db)->Health().ok());
-  EXPECT_GE((*db)->stats().read_only_transitions.load(), 1u);
+  EXPECT_GE((*db)->TotalStats().read_only_transitions.load(), 1u);
   for (Key k = 0; k < acked_until; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 1) << k;
   }
 
   fi->DisarmAll();
   db->reset();
-  auto reopened = DB::Open(opts);
+  auto reopened = ShardedDB::Open(opts);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   for (Key k = 0; k < acked_until; ++k) {
     ASSERT_EQ((*reopened)->Get(k).value_or(0), k + 1) << k;
@@ -165,7 +164,7 @@ TEST(DegradedModeTest, ForegroundWriteFailureLatchesPlainDb) {
 TEST(DegradedModeTest, ExplicitFlushDoesNotLatchAndMayBeRetried) {
   const std::string dir = FreshDir("flush_retry");
   Options opts = BaseOpts(dir);
-  auto db = DB::Open(opts);
+  auto db = ShardedDB::Open(opts);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < 10; ++k) {
     ASSERT_TRUE((*db)->Put(k, k + 1).ok());

@@ -1,9 +1,9 @@
 // Differential tests: seeded random op traces (uniform and skewed key
-// distributions) run against the engine front-ends and a std::map oracle.
-// Every Get/Scan is compared op-by-op, so a divergence reports the seed
-// and the first diverging op index — a deterministic reproducer. Both
-// front-ends (DB, ShardedDB) x both storage backends x both maintenance
-// modes are covered; the multi-threaded linearizability side lives in
+// distributions) run against ShardedDB and a std::map oracle. Every
+// Get/Scan is compared op-by-op, so a divergence reports the seed and
+// the first diverging op index — a deterministic reproducer. One shard
+// and several x both storage backends x both maintenance modes are
+// covered; the multi-threaded linearizability side lives in
 // sharded_db_test.cc.
 //
 // The kill-point harness at the bottom additionally drops the process
@@ -17,8 +17,11 @@
 
 #include <filesystem>
 #include <memory>
+#include <ostream>
+#include <string>
 
-#include "lsm/db.h"
+#include "lsm/lsm_tree.h"
+#include "lsm/page_store.h"
 #include "lsm/sharded_db.h"
 #include "testing/reference_model.h"
 #include "util/random.h"
@@ -44,13 +47,11 @@ Options SmallOpts(StorageBackend backend) {
 }
 
 /// Runs ops[begin, end) against `db` and `oracle`; fails (with seed and
-/// op index) at the first divergence. Works for any front-end with the
-/// DB surface. kReconfigure ops apply `tunings[op.value]` live
-/// (ApplyTuning); the oracle is untouched — a reconfiguration must never
-/// change contents.
-template <typename DbT>
-void RunOps(DbT* db, const std::vector<Op>& ops, size_t begin, size_t end,
-            ReferenceModel* oracle_ptr, uint64_t seed,
+/// op index) at the first divergence. kReconfigure ops apply
+/// `tunings[op.value]` live (ApplyTuning); the oracle is untouched — a
+/// reconfiguration must never change contents.
+void RunOps(ShardedDB* db, const std::vector<Op>& ops, size_t begin,
+            size_t end, ReferenceModel* oracle_ptr, uint64_t seed,
             const std::vector<Options>* tunings = nullptr,
             VersionedOracle* versioned = nullptr) {
   ReferenceModel& oracle = *oracle_ptr;
@@ -120,8 +121,7 @@ void RunOps(DbT* db, const std::vector<Op>& ops, size_t begin, size_t end,
 }
 
 /// Full-state check: the whole key domain in one scan against the oracle.
-template <typename DbT>
-void VerifyFullScan(DbT* db, const ReferenceModel& oracle, uint64_t seed,
+void VerifyFullScan(ShardedDB* db, const ReferenceModel& oracle, uint64_t seed,
                     const char* where) {
   const std::vector<Entry> got = db->Scan(0, ~0ull).value();
   const auto want = oracle.Scan(0, ~0ull);
@@ -134,8 +134,7 @@ void VerifyFullScan(DbT* db, const ReferenceModel& oracle, uint64_t seed,
 }
 
 /// Whole-trace differential: fresh oracle, every op, final scan.
-template <typename DbT>
-void RunDifferential(DbT* db, const std::vector<Op>& ops, uint64_t seed,
+void RunDifferential(ShardedDB* db, const std::vector<Op>& ops, uint64_t seed,
                      const std::vector<Options>* tunings = nullptr) {
   ReferenceModel oracle;
   RunOps(db, ops, 0, ops.size(), &oracle, seed, tunings);
@@ -158,17 +157,6 @@ std::vector<Config> Configs() {
   };
 }
 
-TEST(DifferentialTest, DbMatchesOracle) {
-  for (const Config& c : Configs()) {
-    for (uint64_t seed = 1; seed <= 3; ++seed) {
-      auto db = DB::Open(SmallOpts(c.backend));
-      ASSERT_TRUE(db.ok());
-      RunDifferential(db->get(), GenerateTrace(seed, c.ops, c.dist), seed);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
 TEST(DifferentialTest, ShardedDbMatchesOracle) {
   for (const Config& c : Configs()) {
     for (uint64_t seed = 11; seed <= 13; ++seed) {
@@ -183,15 +171,54 @@ TEST(DifferentialTest, ShardedDbMatchesOracle) {
   }
 }
 
-TEST(DifferentialTest, ShardedDbForegroundMatchesOracle) {
-  // Sharding without background maintenance: pure partitioning layer.
+/// Deployment shapes the shard-parameterized differentials run on. One
+/// foreground shard is the experiments' engine (inline flushes, migration
+/// converging inside ApplyTuning); the other shapes add the partitioning
+/// layer and, with background maintenance, flush/migration jobs in
+/// flight on the pool.
+struct Shape {
+  int num_shards;
+  bool background;
+};
+
+std::string ShapeName(const Shape& s) {
+  return std::to_string(s.num_shards) +
+         (s.num_shards == 1 ? "Shard" : "Shards") +
+         (s.background ? "Background" : "Foreground");
+}
+
+void PrintTo(const Shape& s, std::ostream* os) { *os << ShapeName(s); }
+
+/// Foreground shapes: one shard, and three (non-power-of-two on purpose)
+/// for the pure partitioning layer on top.
+class DifferentialForegroundTest : public ::testing::TestWithParam<Shape> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardShapes, DifferentialForegroundTest,
+                         ::testing::Values(Shape{1, false}, Shape{3, false}));
+
+/// The one-shard foreground engine and a multi-shard deployment with
+/// background maintenance.
+class DifferentialShapeTest : public ::testing::TestWithParam<Shape> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardShapes, DifferentialShapeTest,
+                         ::testing::Values(Shape{1, false}, Shape{4, true}));
+
+/// As DifferentialShapeTest, with a three-shard background deployment.
+class DifferentialRetuneKillTest : public ::testing::TestWithParam<Shape> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardShapes, DifferentialRetuneKillTest,
+                         ::testing::Values(Shape{1, false}, Shape{3, true}));
+
+TEST_P(DifferentialForegroundTest, ShardedDbForegroundMatchesOracle) {
   for (const Config& c : Configs()) {
-    Options o = SmallOpts(c.backend);
-    o.num_shards = 3;  // non-power-of-two on purpose
-    auto db = ShardedDB::Open(o);
-    ASSERT_TRUE(db.ok());
-    RunDifferential(db->get(), GenerateTrace(21, c.ops, c.dist), 21);
-    if (::testing::Test::HasFatalFailure()) return;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Options o = SmallOpts(c.backend);
+      o.num_shards = GetParam().num_shards;
+      auto db = ShardedDB::Open(o);
+      ASSERT_TRUE(db.ok());
+      RunDifferential(db->get(), GenerateTrace(seed, c.ops, c.dist), seed);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 
@@ -219,30 +246,16 @@ std::vector<Options> ReconfigPresets(const Options& base) {
   return presets;
 }
 
-TEST(DifferentialTest, DbMatchesOracleAcrossLiveReconfigs) {
-  for (const Config& c : Configs()) {
-    for (uint64_t seed = 31; seed <= 32; ++seed) {
-      Options base = SmallOpts(c.backend);
-      auto db = DB::Open(base);
-      ASSERT_TRUE(db.ok());
-      const std::vector<Options> presets = ReconfigPresets(base);
-      const auto ops = endure::testing::InjectReconfigures(
-          GenerateTrace(seed, c.ops, c.dist), /*every=*/c.ops / 7,
-          presets.size());
-      RunDifferential(db->get(), ops, seed, &presets);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST(DifferentialTest, ShardedDbMatchesOracleAcrossLiveReconfigs) {
-  // Background maintenance on: reconfigure while flush/migration jobs are
-  // in flight on the pool, across both backends and key skews.
+TEST_P(DifferentialShapeTest, ShardedDbMatchesOracleAcrossLiveReconfigs) {
+  // Foreground, the migration converges inside ApplyTuning; with
+  // background maintenance the reconfigures land while flush/migration
+  // jobs are in flight on the pool — across both backends and key skews.
+  const Shape shape = GetParam();
   for (const Config& c : Configs()) {
     for (uint64_t seed = 41; seed <= 42; ++seed) {
       Options base = SmallOpts(c.backend);
-      base.num_shards = 4;
-      base.background_maintenance = true;
+      base.num_shards = shape.num_shards;
+      base.background_maintenance = shape.background;
       auto db = ShardedDB::Open(base);
       ASSERT_TRUE(db.ok());
       const std::vector<Options> presets = ReconfigPresets(base);
@@ -251,7 +264,7 @@ TEST(DifferentialTest, ShardedDbMatchesOracleAcrossLiveReconfigs) {
           presets.size());
       RunDifferential(db->get(), ops, seed, &presets);
       if (::testing::Test::HasFatalFailure()) return;
-      // The trace left migrations pending; converge and re-check state.
+      // The trace may leave migrations pending; converge and re-check.
       (*db)->WaitForMaintenance();
       EXPECT_TRUE((*db)->Progress().structure_conforming());
     }
@@ -265,7 +278,6 @@ TEST(DifferentialTest, ShardedDbMatchesOracleAcrossLiveReconfigs) {
 /// drive the rest of the trace on the recovered instance and verify the
 /// final state. `reconfigure` injects live retunes into the trace so
 /// kills also land between ApplyTuning and migration convergence.
-template <typename DbT>
 void RunKillPointDifferential(const Options& opts, uint64_t seed,
                               size_t num_ops, KeyDistribution dist,
                               bool reconfigure) {
@@ -284,14 +296,14 @@ void RunKillPointDifferential(const Options& opts, uint64_t seed,
 
   ReferenceModel oracle;
   {
-    auto db = DbT::Open(opts);
+    auto db = ShardedDB::Open(opts);
     ASSERT_TRUE(db.ok());
     RunOps(db->get(), ops, 0, kill_at, &oracle, seed,
            reconfigure ? &presets : nullptr);
     if (::testing::Test::HasFatalFailure()) return;
     (*db)->CrashForTesting();
   }
-  auto db = DbT::Open(opts);
+  auto db = ShardedDB::Open(opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   VerifyFullScan(db->get(), oracle, seed, "post-recovery scan");
   if (::testing::Test::HasFatalFailure()) return;
@@ -311,47 +323,36 @@ Options DurableSmallOpts(const std::string& dir) {
   return o;
 }
 
-TEST(DifferentialTest, KillPointRecoveryDb) {
-  for (uint64_t seed = 51; seed <= 53; ++seed) {
-    RunKillPointDifferential<DB>(
-        DurableSmallOpts("/tmp/endure_diff_kill_db"), seed, 1200,
-        KeyDistribution::kUniform, /*reconfigure=*/false);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+/// Durable options for a kill-point run of `shape`, in a directory of
+/// its own so the shapes may run concurrently.
+Options KillPointOpts(const std::string& dir, const Shape& shape) {
+  Options o = DurableSmallOpts(dir + "_" + ShapeName(shape));
+  o.num_shards = shape.num_shards;
+  o.background_maintenance = shape.background;
+  return o;
 }
 
-TEST(DifferentialTest, KillPointRecoveryDbAcrossReconfigs) {
-  for (uint64_t seed = 61; seed <= 62; ++seed) {
-    RunKillPointDifferential<DB>(
-        DurableSmallOpts("/tmp/endure_diff_kill_db_retune"), seed, 1200,
-        KeyDistribution::kSkewed, /*reconfigure=*/true);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(DifferentialTest, KillPointRecoveryShardedDb) {
+TEST_P(DifferentialShapeTest, KillPointRecoveryShardedDb) {
+  const Options o =
+      KillPointOpts("/tmp/endure_diff_kill_sharded", GetParam());
   for (uint64_t seed = 71; seed <= 73; ++seed) {
-    Options o = DurableSmallOpts("/tmp/endure_diff_kill_sharded");
-    o.num_shards = 4;
-    o.background_maintenance = true;
-    RunKillPointDifferential<ShardedDB>(o, seed, 1200,
-                                        KeyDistribution::kUniform,
-                                        /*reconfigure=*/false);
+    RunKillPointDifferential(o, seed, 1200, KeyDistribution::kUniform,
+                             /*reconfigure=*/false);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(DifferentialTest, KillPointRecoveryShardedDbAcrossReconfigs) {
-  // The hardest case: kills land while background maintenance is
-  // flushing and a live retune's migration is mid-flight; the reopened
-  // deployment must resume both without losing an acknowledged write.
+TEST_P(DifferentialRetuneKillTest,
+       KillPointRecoveryShardedDbAcrossReconfigs) {
+  // The hardest case: kills land between ApplyTuning and migration
+  // convergence — with background maintenance, while flushes and the
+  // migration are mid-flight; the reopened deployment must resume both
+  // without losing an acknowledged write.
+  const Options o =
+      KillPointOpts("/tmp/endure_diff_kill_sharded_retune", GetParam());
   for (uint64_t seed = 81; seed <= 82; ++seed) {
-    Options o = DurableSmallOpts("/tmp/endure_diff_kill_sharded_retune");
-    o.num_shards = 3;
-    o.background_maintenance = true;
-    RunKillPointDifferential<ShardedDB>(o, seed, 1200,
-                                        KeyDistribution::kSkewed,
-                                        /*reconfigure=*/true);
+    RunKillPointDifferential(o, seed, 1200, KeyDistribution::kSkewed,
+                             /*reconfigure=*/true);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -408,30 +409,18 @@ TEST(DifferentialTest, VersionedOracleReconstructsPastStates) {
   EXPECT_EQ(v.ValueAt(5, 3), std::make_optional<Value>(50));
 }
 
-TEST(DifferentialTest, DbSnapshotScansMatchVersionedOracle) {
+TEST_P(DifferentialShapeTest, ShardedDbSnapshotScansMatchVersionedOracle) {
   // Single-threaded snapshot-consistency differential: kSnapshotScan ops
   // route through the same lock-free snapshot read path and must equal
   // the versioned oracle's latest state exactly (the window degenerates
-  // when there is no concurrency).
-  for (const Config& c : Configs()) {
-    auto db = DB::Open(SmallOpts(c.backend));
-    ASSERT_TRUE(db.ok());
-    ReferenceModel oracle;
-    VersionedOracle versioned;
-    const auto ops = GenerateTrace(91, c.ops, c.dist, /*key_domain=*/8192,
-                                   /*snapshot_scan_fraction=*/0.15);
-    RunOps(db->get(), ops, 0, ops.size(), &oracle, 91, nullptr, &versioned);
-    if (::testing::Test::HasFatalFailure()) return;
-    VerifyFullScan(db->get(), oracle, 91, "final scan");
-  }
-}
-
-TEST(DifferentialTest, ShardedDbSnapshotScansMatchVersionedOracle) {
+  // when there is no concurrency). The multi-shard shape also reads
+  // through the block cache.
+  const Shape shape = GetParam();
   for (const Config& c : Configs()) {
     Options o = SmallOpts(c.backend);
-    o.num_shards = 4;
-    o.background_maintenance = true;
-    o.block_cache_bytes = 64 * 1024;  // reads also exercise the cache
+    o.num_shards = shape.num_shards;
+    o.background_maintenance = shape.background;
+    if (shape.background) o.block_cache_bytes = 64 * 1024;
     auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     ReferenceModel oracle;
@@ -445,21 +434,23 @@ TEST(DifferentialTest, ShardedDbSnapshotScansMatchVersionedOracle) {
 }
 
 TEST(DifferentialTest, SealedBufferStaysVisible) {
-  // Single-tree background mode: fill exactly to the seal edge and verify
-  // every acknowledged write is readable while the buffer sits sealed.
+  // Background mode on a bare tree with no scheduler: the first full
+  // buffer seals, the active one then absorbs writes past capacity, and
+  // every acknowledged write must stay readable with nothing flushed.
   Options o = SmallOpts(StorageBackend::kMemory);
   o.background_maintenance = true;
-  auto db = DB::Open(o);
-  ASSERT_TRUE(db.ok());
+  Statistics stats;
+  MemPageStore store(o.entries_per_page, &stats);
+  LsmTree tree(o, &store, &stats);
   ReferenceModel oracle;
   for (Key k = 0; k < 3 * o.buffer_entries; ++k) {
-    (*db)->Put(k, k + 1);
+    ASSERT_TRUE(tree.Put(k, k + 1).ok());
     oracle.Put(k, k + 1);
   }
-  // Nothing external ever called FlushSealedMemtable: reads must still
-  // see the sealed buffer (and the inline fallback keeps at most one).
+  ASSERT_TRUE(tree.HasSealedMemtable());
+  EXPECT_EQ(stats.flushes, 0u);
   for (Key k = 0; k < 3 * o.buffer_entries; ++k) {
-    const auto got = (*db)->Get(k);
+    const auto got = tree.Get(k);
     ASSERT_TRUE(got.has_value()) << "key " << k << " lost behind the seal";
     EXPECT_EQ(*got, *oracle.Get(k));
   }

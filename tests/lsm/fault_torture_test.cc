@@ -1,9 +1,10 @@
 // Seeded fault-schedule torture harness — the acceptance gate for the
-// storage fault-tolerance work. Each schedule opens a durable DB, arms a
-// randomly drawn set of failpoint rules (transient and permanent EIO /
-// ENOSPC, torn and silently-torn writes, bit-rot, failed fsyncs — across
-// the segment, WAL and manifest paths), runs a write/read/retune workload
-// against an in-memory oracle, then clears the faults and reopens:
+// storage fault-tolerance work. Each schedule opens a durable one-shard
+// ShardedDB, arms a randomly drawn set of failpoint rules (transient and
+// permanent EIO / ENOSPC, torn and silently-torn writes, bit-rot, failed
+// fsyncs — across the segment, WAL and manifest paths), runs a
+// write/read/retune workload against an in-memory oracle, then clears
+// the faults and reopens:
 //
 //   - the process never aborts (every fault surfaces as Status);
 //   - a value served while faults are live is always one the workload
@@ -29,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/env.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
@@ -146,7 +147,7 @@ void RunOneSchedule(uint64_t seed, uint64_t block_cache_bytes = 0) {
   std::map<Key, KeyState> oracle;
 
   {
-    auto db = DB::Open(opts);
+    auto db = ShardedDB::Open(opts);
     ASSERT_TRUE(db.ok()) << "seed " << seed << ": " << db.status().message();
 
     ScopedFaultInjector fi;
@@ -197,7 +198,7 @@ void RunOneSchedule(uint64_t seed, uint64_t block_cache_bytes = 0) {
     // A latched tree must self-report, not just reject writes.
     if (!(*db)->Health().ok()) {
       EXPECT_TRUE(saw_rejection) << "seed " << seed;
-      EXPECT_GE((*db)->stats().read_only_transitions.load(), 1u)
+      EXPECT_GE((*db)->TotalStats().read_only_transitions.load(), 1u)
           << "seed " << seed;
     }
 
@@ -210,7 +211,7 @@ void RunOneSchedule(uint64_t seed, uint64_t block_cache_bytes = 0) {
 
     // Reopen on healthy storage. Silent on-device damage may legally
     // surface here as a scrub refusal — anything else must recover.
-    auto reopened = DB::Open(opts);
+    auto reopened = ShardedDB::Open(opts);
     if (!reopened.ok()) {
       ASSERT_EQ(reopened.status().code(), StatusCode::kCorruption)
           << "seed " << seed << ": " << reopened.status().message();

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "bridge/tuned_db.h"
-#include "lsm/db.h"
 #include "lsm/sharded_db.h"
 #include "util/random.h"
 #include "workload/query_generator.h"
@@ -23,8 +22,8 @@ Options Opts(CompactionPolicy policy = CompactionPolicy::kLeveling) {
   return o;
 }
 
-std::unique_ptr<DB> Loaded(const Options& o, uint64_t n) {
-  auto db = DB::Open(o);
+std::unique_ptr<ShardedDB> Loaded(const Options& o, uint64_t n) {
+  auto db = ShardedDB::Open(o);
   std::vector<std::pair<Key, Value>> pairs;
   for (uint64_t i = 0; i < n; ++i) pairs.emplace_back(2 * i, i);
   EXPECT_TRUE((*db)->BulkLoad(pairs).ok());
@@ -42,7 +41,7 @@ TEST(IoAccountingTest, CategoriesPartitionTotalReads) {
     (void)db->Scan(lo, lo + 8);
     db->Put(universe.NextWriteKey(), 1);
   }
-  const Statistics& s = db->stats();
+  const Statistics& s = db->TotalStats();
   EXPECT_EQ(s.pages_read, s.point_pages_read + s.range_pages_read +
                               s.compaction_pages_read);
   EXPECT_EQ(s.pages_written, s.flush_pages_written +
@@ -54,14 +53,14 @@ TEST(IoAccountingTest, PointHitCostsExactlyOnePageWhenSingleRun) {
   // One run, fence pointers: a hit reads exactly one page.
   Options o = Opts();
   o.buffer_entries = 10000;  // everything fits one flush
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   for (Key k = 0; k < 1000; ++k) (*db)->Put(2 * k, k);
   (*db)->Flush();
-  const Statistics before = (*db)->stats();
+  const Statistics before = (*db)->TotalStats();
   for (Key k = 0; k < 100; ++k) {
     ASSERT_TRUE((*db)->Get(2 * k * 7 % 2000).has_value());
   }
-  const Statistics d = (*db)->stats().Delta(before);
+  const Statistics d = (*db)->TotalStats().Delta(before);
   EXPECT_EQ(d.point_pages_read, 100u);
 }
 
@@ -71,10 +70,10 @@ TEST(IoAccountingTest, BloomNegativesAndFenceSkipsCostNoIo) {
   auto db = Loaded(o, 4000);
   Rng rng(2);
   workload::KeyUniverse universe(4000);
-  const Statistics before = db->stats();
+  const Statistics before = db->TotalStats();
   const int n = 2000;
   for (int i = 0; i < n; ++i) db->Get(universe.SampleMissing(&rng));
-  const Statistics d = db->stats().Delta(before);
+  const Statistics d = db->TotalStats().Delta(before);
   // Essentially every miss is answered by filters alone.
   EXPECT_LT(d.point_pages_read, 30u);
   EXPECT_GT(d.bloom_negatives, static_cast<uint64_t>(n / 2));
@@ -83,9 +82,9 @@ TEST(IoAccountingTest, BloomNegativesAndFenceSkipsCostNoIo) {
 
 TEST(IoAccountingTest, GetsOutsideKeyDomainChargeNothingWithFences) {
   auto db = Loaded(Opts(), 1000);
-  const Statistics before = db->stats();
+  const Statistics before = db->TotalStats();
   for (int i = 0; i < 100; ++i) db->Get(10'000'000 + i);
-  const Statistics d = db->stats().Delta(before);
+  const Statistics d = db->TotalStats().Delta(before);
   EXPECT_EQ(d.pages_read, 0u);
   EXPECT_GT(d.fence_skips, 0u);
 }
@@ -94,11 +93,11 @@ TEST(IoAccountingTest, LongScanPagesMatchSelectivity) {
   // A scan over fraction S of the keyspace should read ~ S*N/B pages
   // (plus <= 1 boundary page and one seek per qualifying run).
   auto db = Loaded(Opts(), 20000);  // keys 0..39998, 5000 pages of 4
-  const Statistics before = db->stats();
+  const Statistics before = db->TotalStats();
   // Scan 10% of the key domain: 2000 entries ~ 500 pages.
   const auto out = db->Scan(0, 4000).value();
   EXPECT_EQ(out.size(), 2000u);
-  const Statistics d = db->stats().Delta(before);
+  const Statistics d = db->TotalStats().Delta(before);
   const double expected_pages = 2000.0 / 4.0;
   EXPECT_GE(static_cast<double>(d.range_pages_read), expected_pages * 0.9);
   // Multiple runs overlap the range, each contributing boundary pages.
@@ -109,10 +108,10 @@ TEST(IoAccountingTest, LongScanPagesMatchSelectivity) {
 
 TEST(IoAccountingTest, WritesChargeFlushAndCompactionOnly) {
   Options o = Opts();
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   const int n = 3000;
   for (Key k = 0; k < static_cast<Key>(n); ++k) (*db)->Put(2 * k, k);
-  const Statistics& s = (*db)->stats();
+  const Statistics& s = (*db)->TotalStats();
   EXPECT_EQ(s.point_pages_read, 0u);
   EXPECT_EQ(s.range_pages_read, 0u);
   EXPECT_GT(s.flush_pages_written, 0u);
@@ -133,7 +132,7 @@ TEST(IoAccountingTest, OperationCountersTrackCalls) {
   }
   for (int i = 0; i < 20; ++i) db->Put(universe.NextWriteKey(), 1);
   for (int i = 0; i < 10; ++i) db->Delete(2 * i);
-  const Statistics& s = db->stats();
+  const Statistics& s = db->TotalStats();
   EXPECT_EQ(s.gets, 50u);
   EXPECT_EQ(s.range_queries, 30u);
   EXPECT_EQ(s.writes, 30u);  // puts + deletes
@@ -144,11 +143,11 @@ TEST(IoAccountingTest, FlushChargesExactCeilPages) {
   // page-at-a-time — identical to the one-shot segment write it replaced.
   Options o = Opts();
   o.buffer_entries = 1000;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   for (Key k = 0; k < 10; ++k) (*db)->Put(k, k);  // 10 entries, B = 4
-  const Statistics before = (*db)->stats();
+  const Statistics before = (*db)->TotalStats();
   (*db)->Flush();
-  const Statistics d = (*db)->stats().Delta(before);
+  const Statistics d = (*db)->TotalStats().Delta(before);
   EXPECT_EQ(d.flush_pages_written, 3u);  // ceil(10 / 4)
   EXPECT_EQ(d.pages_written, 3u);
   EXPECT_EQ(d.pages_read, 0u);
@@ -160,13 +159,13 @@ TEST(IoAccountingTest, CompactionChargesAllInputPagesAndExactOutput) {
   // streaming pipeline but totals unchanged.
   Options o = Opts();
   o.buffer_entries = 1000;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   for (Key k = 0; k < 10; ++k) (*db)->Put(2 * k, k);  // 3 pages
   (*db)->Flush();
   for (Key k = 0; k < 9; ++k) (*db)->Put(2 * k + 1, k);  // 3 pages
-  const Statistics before = (*db)->stats();
+  const Statistics before = (*db)->TotalStats();
   (*db)->Flush();  // leveling: merges into the resident run
-  const Statistics d = (*db)->stats().Delta(before);
+  const Statistics d = (*db)->TotalStats().Delta(before);
   EXPECT_EQ(d.compaction_pages_read, 6u);       // both inputs, all pages
   EXPECT_EQ(d.compaction_pages_written, 5u);    // ceil(19 / 4)
   EXPECT_EQ(d.flush_pages_written, 3u);         // the triggering flush
@@ -176,13 +175,13 @@ TEST(IoAccountingTest, BulkLoadChargesExactPerLevelPages) {
   // Bulk load writes ceil(quota_l / B) pages per populated level, however
   // the per-level streams interleave.
   Options o = Opts();  // T=4, buffer 64, B=4 -> caps 192 / 768 / ...
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   std::vector<std::pair<Key, Value>> pairs;
   for (uint64_t i = 0; i < 500; ++i) pairs.emplace_back(2 * i, i);
   ASSERT_TRUE((*db)->BulkLoad(pairs).ok());
   // Quotas fill bottom-up: level 2 takes min(768, 500) = 500, level 1
   // takes 0 -> pages = ceil(500 / 4) = 125.
-  const Statistics& s = (*db)->stats();
+  const Statistics& s = (*db)->TotalStats();
   EXPECT_EQ(s.bulk_load_pages_written, 125u);
   EXPECT_EQ(s.pages_written, 125u);
   EXPECT_EQ(s.pages_read, 0u);
@@ -191,72 +190,28 @@ TEST(IoAccountingTest, BulkLoadChargesExactPerLevelPages) {
 TEST(IoAccountingTest, SingleRunScanChargesOverlappingPagesAndOneSeek) {
   Options o = Opts();
   o.buffer_entries = 10000;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   for (Key k = 0; k < 1000; ++k) (*db)->Put(2 * k, k);
   (*db)->Flush();  // one run, 250 pages of 4
-  const Statistics before = (*db)->stats();
+  const Statistics before = (*db)->TotalStats();
   // Keys 100..198 are entries 50..99, i.e. pages 12..24 (13 pages), one
   // qualifying run.
   const auto out = (*db)->Scan(100, 200).value();
   EXPECT_EQ(out.size(), 50u);
-  const Statistics d = (*db)->stats().Delta(before);
+  const Statistics d = (*db)->TotalStats().Delta(before);
   EXPECT_EQ(d.range_seeks, 1u);
   EXPECT_EQ(d.range_pages_read, 13u);
   EXPECT_EQ(d.pages_written, 0u);
-}
-
-// The two backends share nothing on the I/O path (resident vectors vs
-// pread/pwrite through aligned scratch), so identical counters across an
-// identical workload pin the accounting to the logical access pattern
-// rather than any backend's implementation.
-TEST(IoAccountingTest, FileBackendCountsMatchMemoryBackendExactly) {
-  auto run_workload = [](StorageBackend backend) {
-    Options o = Opts();
-    o.backend = backend;
-    o.storage_dir = "/tmp/endure_io_accounting_test";
-    auto db = DB::Open(o);
-    std::vector<std::pair<Key, Value>> pairs;
-    for (uint64_t i = 0; i < 3000; ++i) pairs.emplace_back(2 * i, i);
-    EXPECT_TRUE((*db)->BulkLoad(pairs).ok());
-    Rng rng(11);
-    workload::KeyUniverse universe(3000);
-    for (int i = 0; i < 400; ++i) {
-      (*db)->Get(universe.SampleExisting(&rng));
-      (*db)->Get(universe.SampleMissing(&rng));
-      const Key lo = universe.SampleExisting(&rng);
-      (void)(*db)->Scan(lo, lo + 12);
-      (*db)->Put(universe.NextWriteKey(), 1);
-      if (i % 50 == 0) (*db)->Delete(2 * static_cast<Key>(i));
-    }
-    (*db)->Flush();
-    return (*db)->stats();
-  };
-  const Statistics mem = run_workload(StorageBackend::kMemory);
-  const Statistics file = run_workload(StorageBackend::kFile);
-  EXPECT_EQ(mem.pages_read, file.pages_read);
-  EXPECT_EQ(mem.pages_written, file.pages_written);
-  EXPECT_EQ(mem.point_pages_read, file.point_pages_read);
-  EXPECT_EQ(mem.range_pages_read, file.range_pages_read);
-  EXPECT_EQ(mem.range_seeks, file.range_seeks);
-  EXPECT_EQ(mem.flush_pages_written, file.flush_pages_written);
-  EXPECT_EQ(mem.compaction_pages_read, file.compaction_pages_read);
-  EXPECT_EQ(mem.compaction_pages_written, file.compaction_pages_written);
-  EXPECT_EQ(mem.bulk_load_pages_written, file.bulk_load_pages_written);
-  EXPECT_EQ(mem.bloom_probes, file.bloom_probes);
-  EXPECT_EQ(mem.bloom_negatives, file.bloom_negatives);
-  EXPECT_EQ(mem.bloom_false_positives, file.bloom_false_positives);
-  EXPECT_EQ(mem.fence_skips, file.fence_skips);
-  EXPECT_EQ(mem.compactions, file.compactions);
-  EXPECT_EQ(mem.flushes, file.flushes);
 }
 
 // --- sharded statistics accounting -----------------------------------------
 
 namespace sharded {
 
-Options ShardOpts(StorageBackend backend, bool background) {
+Options ShardOpts(StorageBackend backend, bool background,
+                  int num_shards = 4) {
   Options o = Opts();
-  o.num_shards = 4;
+  o.num_shards = num_shards;
   o.background_maintenance = background;
   o.backend = backend;
   o.storage_dir = "/tmp/endure_io_accounting_sharded";
@@ -326,14 +281,27 @@ TEST(ShardedIoAccountingTest, AggregateEqualsSumOfShardCounters) {
   }
 }
 
-// Sharded counters stay bit-identical across storage backends, like the
-// single-tree ones: the shard hash and the per-shard access pattern are
-// purely logical. (Foreground maintenance: background-job timing is the
-// one legitimate source of nondeterminism in when — not how much — I/O
-// happens, so the bit-identical comparison pins the deterministic mode.)
-TEST(ShardedIoAccountingTest, FileBackendMatchesMemoryBackendExactly) {
-  auto run = [](StorageBackend backend) {
-    auto db = std::move(ShardedDB::Open(ShardOpts(backend, false))).value();
+// The two backends share nothing on the I/O path (resident vectors vs
+// pread/pwrite through aligned scratch), so identical counters across an
+// identical workload pin the accounting to the logical access pattern
+// rather than any backend's implementation — for one shard (the
+// experiments' engine) and several (the shard hash and the per-shard
+// access pattern are purely logical too). Foreground maintenance:
+// background-job timing is the one legitimate source of nondeterminism
+// in when — not how much — I/O happens, so the bit-identical comparison
+// pins the deterministic mode.
+class ShardedIoAccountingBackendTest
+    : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedIoAccountingBackendTest,
+                         ::testing::Values(1, 4));
+
+TEST_P(ShardedIoAccountingBackendTest, FileBackendMatchesMemoryBackendExactly) {
+  const int num_shards = GetParam();
+  auto run = [num_shards](StorageBackend backend) {
+    auto db = std::move(ShardedDB::Open(
+                            ShardOpts(backend, false, num_shards)))
+                  .value();
     RunWorkload(db.get(), 32);
     return db->TotalStats();
   };
@@ -369,18 +337,18 @@ TEST(IoAccountingTest, TieringChargesMoreFilterProbesPerMiss) {
   auto probes_per_miss = [](CompactionPolicy policy) {
     Options o = Opts(policy);
     o.filter_bits_per_entry = 2.0;
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     Rng churn(4);
     for (int i = 0; i < 4000; ++i) {
       (*db)->Put(2 * churn.UniformInt(0, 100000), i);
     }
     Rng rng(5);
-    const Statistics before = (*db)->stats();
+    const Statistics before = (*db)->TotalStats();
     const int n = 1000;
     for (int i = 0; i < n; ++i) {
       (*db)->Get(2 * rng.UniformInt(0, 100000) + 1);
     }
-    const Statistics d = (*db)->stats().Delta(before);
+    const Statistics d = (*db)->TotalStats().Delta(before);
     return static_cast<double>(d.bloom_probes) / n;
   };
   EXPECT_GT(probes_per_miss(CompactionPolicy::kTiering),

@@ -6,7 +6,7 @@
 
 #include <map>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 #include "util/random.h"
 
 namespace endure::lsm {
@@ -80,9 +80,9 @@ TEST(LazyLevelingEngineTest, WriteAmplificationBetweenClassicPolicies) {
 }
 
 TEST(LazyLevelingEngineTest, RandomOpsMatchReference) {
-  auto db_or = lsm::DB::Open(LazyOptions(3, 8));
+  auto db_or = lsm::ShardedDB::Open(LazyOptions(3, 8));
   ASSERT_TRUE(db_or.ok());
-  DB* db = db_or->get();
+  ShardedDB* db = db_or->get();
   std::map<Key, Value> ref;
   Rng rng(73);
   for (int i = 0; i < 4000; ++i) {
@@ -122,7 +122,7 @@ TEST(LazyLevelingEngineTest, RandomOpsMatchReference) {
 }
 
 TEST(LazyLevelingEngineTest, BulkLoadWorks) {
-  auto db_or = lsm::DB::Open(LazyOptions(4, 16));
+  auto db_or = lsm::ShardedDB::Open(LazyOptions(4, 16));
   ASSERT_TRUE(db_or.ok());
   std::vector<std::pair<Key, Value>> pairs;
   for (Key k = 0; k < 1000; ++k) pairs.emplace_back(2 * k, k);

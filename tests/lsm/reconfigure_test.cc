@@ -9,7 +9,8 @@
 
 #include <memory>
 
-#include "lsm/db.h"
+#include "lsm/lsm_tree.h"
+#include "lsm/page_store.h"
 #include "lsm/sharded_db.h"
 
 namespace endure::lsm {
@@ -26,8 +27,7 @@ Options BaseOpts() {
 
 /// Fills `db` with `n` distinct keys (values key+1), flushing at the end
 /// so everything lives in runs.
-template <typename DbT>
-void Fill(DbT* db, Key n) {
+void Fill(ShardedDB* db, Key n) {
   for (Key k = 0; k < n; ++k) db->Put(k, k + 1);
   db->Flush();
 }
@@ -44,7 +44,7 @@ void ExpectAllReadable(DbT* db, Key n) {
 }
 
 TEST(ReconfigureTest, RejectsImmutableKnobChanges) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
 
   Options page = BaseOpts();
   page.entries_per_page = 8;
@@ -62,67 +62,70 @@ TEST(ReconfigureTest, RejectsImmutableKnobChanges) {
   invalid.size_ratio = 1;
   EXPECT_FALSE(db->ApplyTuning(invalid).ok());
 
-  // A failed apply leaves the tuning epoch untouched.
-  EXPECT_EQ(db->tree().tuning_epoch(), 0u);
-
-  auto sharded = std::move(ShardedDB::Open(BaseOpts())).value();
   Options shards = BaseOpts();
   shards.num_shards = 2;
-  EXPECT_FALSE(sharded->ApplyTuning(shards).ok());
+  EXPECT_FALSE(db->ApplyTuning(shards).ok());
+
+  // A failed apply leaves the tuning epoch untouched.
+  EXPECT_EQ(db->shard_tree(0).tuning_epoch(), 0u);
 }
 
 TEST(ReconfigureTest, EveryApplyBumpsTheEpochOnce) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   ASSERT_TRUE(db->ApplyTuning(BaseOpts()).ok());  // no-op knobs still count
   ASSERT_TRUE(db->ApplyTuning(BaseOpts()).ok());
-  EXPECT_EQ(db->tree().tuning_epoch(), 2u);
-  EXPECT_EQ(db->stats().reconfigurations, 2u);
+  EXPECT_EQ(db->shard_tree(0).tuning_epoch(), 2u);
+  EXPECT_EQ(db->TotalStats().reconfigurations, 2u);
 }
 
 TEST(ReconfigureTest, BufferShrinkFlushesInline) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   for (Key k = 0; k < 100; ++k) db->Put(k, k + 1);  // buffer holds 100/128
-  ASSERT_EQ(db->stats().flushes, 0u);
+  ASSERT_EQ(db->TotalStats().flushes, 0u);
 
   Options shrunk = BaseOpts();
   shrunk.buffer_entries = 64;  // below current fill: reseal at once
   ASSERT_TRUE(db->ApplyTuning(shrunk).ok());
-  EXPECT_GT(db->stats().flushes, 0u);
-  EXPECT_EQ(db->tree().memtable().capacity(), 64u);
+  EXPECT_GT(db->TotalStats().flushes, 0u);
+  EXPECT_EQ(db->shard_tree(0).memtable().capacity(), 64u);
   ExpectAllReadable(db.get(), 100);
 }
 
 TEST(ReconfigureTest, BufferShrinkSealsUnderBackgroundMaintenance) {
+  // A bare tree with no scheduler attached, so nothing drains the seal
+  // behind the test's back.
   Options base = BaseOpts();
   base.background_maintenance = true;
-  auto db = std::move(DB::Open(base)).value();
-  for (Key k = 0; k < 100; ++k) db->Put(k, k + 1);
+  Statistics stats;
+  MemPageStore store(base.entries_per_page, &stats);
+  LsmTree tree(base, &store, &stats);
+  for (Key k = 0; k < 100; ++k) ASSERT_TRUE(tree.Put(k, k + 1).ok());
 
   Options shrunk = base;
   shrunk.buffer_entries = 64;
-  ASSERT_TRUE(db->ApplyTuning(shrunk).ok());
+  ASSERT_TRUE(tree.Reconfigure(shrunk).ok());
   // Background mode never flushes inline: the over-full buffer is sealed
   // (still readable) and waits for maintenance.
-  EXPECT_TRUE(db->tree().HasSealedMemtable());
-  EXPECT_EQ(db->stats().flushes, 0u);
-  ExpectAllReadable(db.get(), 100);
+  EXPECT_TRUE(tree.HasSealedMemtable());
+  EXPECT_EQ(stats.flushes, 0u);
+  ExpectAllReadable(&tree, 100);
 }
 
 TEST(ReconfigureTest, BufferGrowthKeepsEntriesAndRaisesThreshold) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   for (Key k = 0; k < 100; ++k) db->Put(k, k + 1);
 
   Options grown = BaseOpts();
   grown.buffer_entries = 512;
   ASSERT_TRUE(db->ApplyTuning(grown).ok());
-  EXPECT_EQ(db->stats().flushes, 0u);  // nothing forced out
-  EXPECT_EQ(db->tree().memtable().size(), 100u);
-  EXPECT_EQ(db->tree().memtable().capacity(), 512u);
+  EXPECT_EQ(db->TotalStats().flushes, 0u);  // nothing forced out
+  EXPECT_EQ(db->shard_tree(0).memtable().size(), 100u);
+  EXPECT_EQ(db->shard_tree(0).memtable().capacity(), 512u);
   ExpectAllReadable(db.get(), 100);
 }
 
 TEST(ReconfigureTest, NewBloomBudgetAppliesToNewRunsOnly) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   Fill(db.get(), 2000);
 
   Options fat = BaseOpts();
@@ -138,13 +141,13 @@ TEST(ReconfigureTest, NewBloomBudgetAppliesToNewRunsOnly) {
   EXPECT_GT(p.entries_total, 0u);
 
   // A fresh flush lands a current-epoch run with the fatter filter.
-  const std::vector<LevelInfo> before = db->tree().GetLevelInfos();
+  const std::vector<LevelInfo> before = db->shard_tree(0).GetLevelInfos();
   for (Key k = 10000; k < 10000 + 200; ++k) db->Put(k, k + 1);
   db->Flush();
   p = db->Progress();
   EXPECT_GT(p.entries_current, 0u);
   bool found_current = false;
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     if (info.current_epoch_runs == 0) continue;
     found_current = true;
     // Leveling keeps one run per level, so this level's filter is the
@@ -160,66 +163,80 @@ TEST(ReconfigureTest, NewBloomBudgetAppliesToNewRunsOnly) {
   EXPECT_TRUE(found_current);
 }
 
-TEST(ReconfigureTest, TieringToLevelingReshapesEveryLevel) {
+/// Shard counts a foreground ApplyTuning converges inline on: one (the
+/// experiments' engine) and three.
+class ReconfigureShardsTest : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ReconfigureShardsTest,
+                         ::testing::Values(1, 3));
+
+TEST_P(ReconfigureShardsTest, TieringToLevelingReshapesEveryLevel) {
   Options tiering = BaseOpts();
   tiering.policy = CompactionPolicy::kTiering;
-  auto db = std::move(DB::Open(tiering)).value();
+  tiering.num_shards = GetParam();
+  auto db = std::move(ShardedDB::Open(tiering)).value();
   Fill(db.get(), 4000);
 
   // Tiering left multi-run levels behind.
   uint64_t multi_run_levels = 0;
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
-    if (info.num_runs > 1) ++multi_run_levels;
+  for (size_t s = 0; s < db->num_shards(); ++s) {
+    for (const LevelInfo& info : db->shard_tree(s).GetLevelInfos()) {
+      if (info.num_runs > 1) ++multi_run_levels;
+    }
   }
   ASSERT_GT(multi_run_levels, 0u);
 
   Options leveling = BaseOpts();
-  ASSERT_TRUE(db->ApplyTuning(leveling).ok());  // DB converges inline
+  leveling.num_shards = GetParam();
+  // No maintenance pool: the migration converges before this returns.
+  ASSERT_TRUE(db->ApplyTuning(leveling).ok());
 
   EXPECT_TRUE(db->Progress().structure_conforming());
-  EXPECT_GT(db->stats().migration_steps, 0u);
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
-    EXPECT_LE(info.num_runs, 1u) << "level " << info.level;
-    if (info.num_runs == 1) {
-      EXPECT_LE(info.num_entries, info.capacity) << "level " << info.level;
+  EXPECT_GT(db->TotalStats().migration_steps, 0u);
+  for (size_t s = 0; s < db->num_shards(); ++s) {
+    for (const LevelInfo& info : db->shard_tree(s).GetLevelInfos()) {
+      EXPECT_LE(info.num_runs, 1u) << "level " << info.level;
+      if (info.num_runs == 1) {
+        EXPECT_LE(info.num_entries, info.capacity) << "level " << info.level;
+      }
     }
   }
   ExpectAllReadable(db.get(), 4000);
 }
 
 TEST(ReconfigureTest, LevelingToTieringConformsWithoutWork) {
-  auto db = std::move(DB::Open(BaseOpts())).value();
+  auto db = std::move(ShardedDB::Open(BaseOpts())).value();
   Fill(db.get(), 4000);
 
   Options tiering = BaseOpts();
   tiering.policy = CompactionPolicy::kTiering;
   ASSERT_TRUE(db->ApplyTuning(tiering).ok());
   // One run per level already satisfies tiering: no migration I/O at all.
-  EXPECT_EQ(db->stats().migration_steps, 0u);
+  EXPECT_EQ(db->TotalStats().migration_steps, 0u);
   EXPECT_TRUE(db->Progress().structure_conforming());
 
   // From here on runs accumulate per level instead of merging eagerly.
-  const uint64_t compactions_before = db->stats().compactions;
+  const uint64_t compactions_before = db->TotalStats().compactions;
   for (Key k = 10000; k < 10000 + 2 * 128; ++k) db->Put(k, k + 1);
   db->Flush();
-  EXPECT_EQ(db->stats().compactions, compactions_before);
+  EXPECT_EQ(db->TotalStats().compactions, compactions_before);
   ExpectAllReadable(db.get(), 4000);
 }
 
 TEST(ReconfigureTest, SizeRatioShrinkCascadesDataDeeper) {
   Options wide = BaseOpts();
   wide.size_ratio = 10;
-  auto db = std::move(DB::Open(wide)).value();
+  auto db = std::move(ShardedDB::Open(wide)).value();
   Fill(db.get(), 6000);
-  const int depth_before = db->tree().DeepestLevel();
+  const int depth_before = db->shard_tree(0).DeepestLevel();
 
   Options narrow = BaseOpts();
   narrow.size_ratio = 2;  // every level capacity shrinks drastically
   ASSERT_TRUE(db->ApplyTuning(narrow).ok());
 
   EXPECT_TRUE(db->Progress().structure_conforming());
-  EXPECT_GE(db->tree().DeepestLevel(), depth_before);
-  for (const LevelInfo& info : db->tree().GetLevelInfos()) {
+  EXPECT_GE(db->shard_tree(0).DeepestLevel(), depth_before);
+  for (const LevelInfo& info : db->shard_tree(0).GetLevelInfos()) {
     if (info.num_runs == 1) {
       EXPECT_LE(info.num_entries, info.capacity) << "level " << info.level;
     }
@@ -256,22 +273,6 @@ TEST(ReconfigureTest, ShardedApplyMigratesOnMaintenancePool) {
   }
   ExpectAllReadable(db.get(), 8000);
   EXPECT_EQ(db->TotalStats().reconfigurations, db->num_shards());
-}
-
-TEST(ReconfigureTest, ForegroundShardedApplyConvergesInline) {
-  Options base = BaseOpts();
-  base.num_shards = 3;
-  base.policy = CompactionPolicy::kTiering;
-  auto db = std::move(ShardedDB::Open(base)).value();
-  for (Key k = 0; k < 4000; ++k) db->Put(k, k + 1);
-  db->Flush();
-
-  Options leveling = base;
-  leveling.policy = CompactionPolicy::kLeveling;
-  ASSERT_TRUE(db->ApplyTuning(leveling).ok());
-  // No pool: by the time ApplyTuning returns the structure conforms.
-  EXPECT_TRUE(db->Progress().structure_conforming());
-  ExpectAllReadable(db.get(), 4000);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Crash-recovery unit suite (docs/durability.md): manifest round-trips,
-// close-then-reopen and kill-then-reopen on DB and ShardedDB, persisted
-// tunings, recover-mid-migration, orphan segment cleanup, sync-mode
-// guarantees and the durability statistics counters. The randomized
-// kill-point differential harness lives in differential_test.cc.
+// close-then-reopen and kill-then-reopen on one-shard and multi-shard
+// ShardedDB deployments, persisted tunings, recover-mid-migration,
+// orphan segment cleanup, sync-mode guarantees and the durability
+// statistics counters. The randomized kill-point differential harness
+// lives in differential_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,9 @@
 #include <thread>
 
 #include "bridge/tuned_db.h"
-#include "lsm/db.h"
+#include "lsm/lsm_tree.h"
 #include "lsm/manifest.h"
+#include "lsm/page_store.h"
 #include "lsm/sharded_db.h"
 #include "util/env.h"
 
@@ -39,6 +41,34 @@ Options DurableOpts(const std::string& dir) {
   o.durability = true;
   o.wal_sync_mode = WalSyncMode::kPerBatch;
   return o;
+}
+
+/// A durable tree with no ShardedDB (and so no scheduler) around it, for
+/// states a maintenance pool would drain behind the test's back: a
+/// pending sealed buffer, a migration stopped after one step. Runs the
+/// per-tree open-recover sequence ShardedDB::Open runs per shard, but
+/// at opts.storage_dir itself.
+struct DurableTree {
+  Statistics stats;
+  std::unique_ptr<PageStore> store;
+  std::unique_ptr<LsmTree> tree;
+};
+
+std::unique_ptr<DurableTree> OpenDurableTree(Options opts) {
+  auto t = std::make_unique<DurableTree>();
+  EXPECT_TRUE(EnsureDir(opts.storage_dir).ok());
+  ManifestData m;
+  const StatusOr<bool> existing =
+      LoadDurableState(opts.storage_dir, &opts, &m);
+  EXPECT_TRUE(existing.ok());
+  t->store = MakePageStore(opts.entries_per_page, &t->stats,
+                           static_cast<int>(opts.backend), opts.storage_dir,
+                           /*persistent=*/true);
+  t->tree = std::make_unique<LsmTree>(opts, t->store.get(), &t->stats);
+  EXPECT_TRUE(RecoverAndAttach(t->tree.get(), m, existing.value_or(false),
+                               opts.storage_dir)
+                  .ok());
+  return t;
 }
 
 TEST(ManifestTest, RoundTripsState) {
@@ -107,7 +137,7 @@ TEST(RecoveryTest, FreshOpenThenCleanCloseThenReopen) {
   const std::string dir = FreshDir("clean_close");
   std::map<Key, Value> oracle;
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 500; ++k) {
       (*db)->Put(k, k * 3 + 1);
@@ -119,9 +149,9 @@ TEST(RecoveryTest, FreshOpenThenCleanCloseThenReopen) {
     }
     // Clean close: destructor syncs the WAL whatever the mode.
   }
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->stats().recoveries.load(), 1u);
+  EXPECT_EQ((*db)->TotalStats().recoveries.load(), 1u);
   for (Key k = 0; k < 500; ++k) {
     const auto got = (*db)->Get(k);
     const auto want = oracle.find(k);
@@ -136,7 +166,7 @@ TEST(RecoveryTest, KillAfterAckedWritesLosesNothingPerBatch) {
   const std::string dir = FreshDir("kill_perbatch");
   std::map<Key, Value> oracle;
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     // Enough to cross several flush/compaction edges, then more writes
     // that stay memtable-resident (covered only by the WAL).
@@ -146,9 +176,9 @@ TEST(RecoveryTest, KillAfterAckedWritesLosesNothingPerBatch) {
     }
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
-  EXPECT_GT((*db)->stats().wal_replayed_entries.load(), 0u);
+  EXPECT_GT((*db)->TotalStats().wal_replayed_entries.load(), 0u);
   for (const auto& [k, v] : oracle) {
     const auto got = (*db)->Get(k);
     ASSERT_TRUE(got.has_value()) << "acked write lost: key " << k;
@@ -162,19 +192,19 @@ TEST(RecoveryTest, SealedBufferSurvivesKill) {
   Options o = DurableOpts(dir);
   o.background_maintenance = true;  // full buffers seal instead of flush
   {
-    auto db = DB::Open(o);
-    ASSERT_TRUE(db.ok());
-    // 2.5 buffers: one flushed by backpressure, one sealed, half active.
+    auto t = OpenDurableTree(o);
+    // 2.5 buffers with no scheduler: one sealed, the rest absorbed by
+    // the active buffer past its capacity — nothing flushed.
     for (Key k = 0; k < o.buffer_entries * 5 / 2; ++k) {
-      (*db)->Put(k, k + 7);
+      ASSERT_TRUE(t->tree->Put(k, k + 7).ok());
     }
-    ASSERT_TRUE((*db)->tree().HasSealedMemtable());
-    (*db)->CrashForTesting();
+    ASSERT_TRUE(t->tree->HasSealedMemtable());
+    EXPECT_EQ(t->stats.flushes, 0u);
+    t->tree->CrashForTesting();
   }
-  auto db = DB::Open(o);
-  ASSERT_TRUE(db.ok());
+  auto t = OpenDurableTree(o);
   for (Key k = 0; k < o.buffer_entries * 5 / 2; ++k) {
-    const auto got = (*db)->Get(k);
+    const auto got = t->tree->Get(k);
     ASSERT_TRUE(got.has_value()) << "key " << k << " lost behind the seal";
     EXPECT_EQ(*got, k + 7);
   }
@@ -184,7 +214,7 @@ TEST(RecoveryTest, PutBatchGroupCommitSurvivesKill) {
   const std::string dir = FreshDir("putbatch");
   std::map<Key, Value> oracle;
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     std::vector<std::pair<Key, Value>> batch;
     for (Key k = 0; k < 300; ++k) {
@@ -192,10 +222,10 @@ TEST(RecoveryTest, PutBatchGroupCommitSurvivesKill) {
       oracle[k * 2] = k;
     }
     (*db)->PutBatch(batch);
-    EXPECT_EQ((*db)->stats().wal_records.load(), 300u);
+    EXPECT_EQ((*db)->TotalStats().wal_records.load(), 300u);
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
   for (const auto& [k, v] : oracle) {
     const auto got = (*db)->Get(k);
@@ -213,20 +243,20 @@ TEST(RecoveryTest, AppliedTuningSurvivesKill) {
   tuned.filter_bits_per_entry = 9.0;
   tuned.buffer_entries = base.buffer_entries * 2;
   {
-    auto db = DB::Open(base);
+    auto db = ShardedDB::Open(base);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 400; ++k) (*db)->Put(k, k);
     ASSERT_TRUE((*db)->ApplyTuning(tuned).ok());
     (*db)->CrashForTesting();
   }
   // Reopen with the ORIGINAL options: the persisted tuning must win.
-  auto db = DB::Open(base);
+  auto db = ShardedDB::Open(base);
   ASSERT_TRUE(db.ok());
   EXPECT_EQ((*db)->options().policy, CompactionPolicy::kTiering);
   EXPECT_EQ((*db)->options().size_ratio, 3);
   EXPECT_EQ((*db)->options().filter_bits_per_entry, 9.0);
   EXPECT_EQ((*db)->options().buffer_entries, base.buffer_entries * 2);
-  EXPECT_EQ((*db)->tree().options().policy, CompactionPolicy::kTiering);
+  EXPECT_EQ((*db)->shard_tree(0).options().policy, CompactionPolicy::kTiering);
   for (Key k = 0; k < 400; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(~0ull), k);
   }
@@ -246,27 +276,25 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   uint64_t epoch_at_kill = 0;
   MigrationProgress progress_at_kill;
   {
-    auto db = DB::Open(base);
-    ASSERT_TRUE(db.ok());
-    for (Key k = 0; k < 2000; ++k) (*db)->Put(k, k + 1);
-    // Reconfigure directly (DB::ApplyTuning would converge synchronously)
+    auto t = OpenDurableTree(base);
+    for (Key k = 0; k < 2000; ++k) ASSERT_TRUE(t->tree->Put(k, k + 1).ok());
+    // Reconfigure the bare tree (ShardedDB::ApplyTuning would converge)
     // and take exactly one migration step, then die mid-flight.
-    ASSERT_TRUE((*db)->mutable_tree()->Reconfigure(tuned).ok());
+    ASSERT_TRUE(t->tree->Reconfigure(tuned).ok());
     bool stepped = false;
-    ASSERT_TRUE((*db)->mutable_tree()->AdvanceMigration(&stepped).ok());
+    ASSERT_TRUE(t->tree->AdvanceMigration(&stepped).ok());
     ASSERT_TRUE(stepped);
-    ASSERT_TRUE((*db)->mutable_tree()->MigrationPending());
-    epoch_at_kill = (*db)->tree().tuning_epoch();
-    progress_at_kill = (*db)->Progress();
-    (*db)->CrashForTesting();
+    ASSERT_TRUE(t->tree->MigrationPending());
+    epoch_at_kill = t->tree->tuning_epoch();
+    progress_at_kill = t->tree->Progress();
+    t->tree->CrashForTesting();
   }
-  auto db = DB::Open(base);
-  ASSERT_TRUE(db.ok());
+  auto t = OpenDurableTree(base);
   // The reopened tree is mid-migration under the persisted tuning, with
   // the identical epoch and per-run progress the kill interrupted.
-  EXPECT_EQ((*db)->tree().tuning_epoch(), epoch_at_kill);
-  EXPECT_TRUE((*db)->mutable_tree()->MigrationPending());
-  const MigrationProgress progress = (*db)->Progress();
+  EXPECT_EQ(t->tree->tuning_epoch(), epoch_at_kill);
+  EXPECT_TRUE(t->tree->MigrationPending());
+  const MigrationProgress progress = t->tree->Progress();
   EXPECT_EQ(progress.epoch, progress_at_kill.epoch);
   EXPECT_EQ(progress.runs_total, progress_at_kill.runs_total);
   EXPECT_EQ(progress.runs_current, progress_at_kill.runs_current);
@@ -276,27 +304,27 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   // Resume: AdvanceMigration picks up and converges; contents intact.
   bool did_work = true;
   while (did_work) {
-    ASSERT_TRUE((*db)->mutable_tree()->AdvanceMigration(&did_work).ok());
+    ASSERT_TRUE(t->tree->AdvanceMigration(&did_work).ok());
   }
-  EXPECT_TRUE((*db)->Progress().structure_conforming());
+  EXPECT_TRUE(t->tree->Progress().structure_conforming());
   for (Key k = 0; k < 2000; ++k) {
-    ASSERT_EQ((*db)->Get(k).value_or(0), k + 1);
+    ASSERT_EQ(t->tree->Get(k).value_or(0), k + 1);
   }
 }
 
 TEST(RecoveryTest, OrphanSegmentsAreReaped) {
   const std::string dir = FreshDir("orphans");
   {
-    auto db = DB::Open(DurableOpts(dir));
+    auto db = ShardedDB::Open(DurableOpts(dir));
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 300; ++k) (*db)->Put(k, k);
     (*db)->Flush();
   }
   // A crash between a segment write and the manifest leaves a file no
   // manifest references; recovery must reap it.
-  const std::string orphan = dir + "/seg_424242.run";
+  const std::string orphan = dir + "/shard_0/seg_424242.run";
   ASSERT_TRUE(WriteFileAtomic(orphan, "garbage").ok());
-  auto db = DB::Open(DurableOpts(dir));
+  auto db = ShardedDB::Open(DurableOpts(dir));
   ASSERT_TRUE(db.ok());
   EXPECT_FALSE(FileExists(orphan));
   for (Key k = 0; k < 300; ++k) {
@@ -314,11 +342,11 @@ TEST(RecoveryTest, CleanCloseIsDurableUnderEverySyncMode) {
     o.wal_sync_mode = mode;
     o.wal_sync_interval_ms = 1;
     {
-      auto db = DB::Open(o);
+      auto db = ShardedDB::Open(o);
       ASSERT_TRUE(db.ok());
       for (Key k = 0; k < 200; ++k) (*db)->Put(k, k + 11);
     }
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 200; ++k) {
       ASSERT_EQ((*db)->Get(k).value_or(0), k + 11)
@@ -371,32 +399,22 @@ TEST(RecoveryTest, ShardCountIsImmutableAcrossReopens) {
   Options wrong = o;
   wrong.num_shards = 2;
   EXPECT_FALSE(ShardedDB::Open(wrong).ok());
-  // And a sharded root is not a plain-DB directory.
-  EXPECT_FALSE(DB::Open(DurableOpts(dir)).ok());
 }
 
-TEST(RecoveryTest, FrontEndsRejectEachOthersDeployments) {
-  // Even at num_shards == 1, where the recorded shard count cannot
-  // distinguish the two layouts.
-  const std::string sharded_dir = FreshDir("one_shard");
-  Options one = DurableOpts(sharded_dir);
-  one.num_shards = 1;
+TEST(RecoveryTest, RejectsATreeManifestAtTheDeploymentRoot) {
+  // A single tree's durable directory (its manifest at the root, where a
+  // deployment keeps its root manifest) must be refused, not opened as
+  // a fresh empty shard_0 beside the tree's data — even at num_shards ==
+  // 1, where the recorded shard count cannot tell the layouts apart.
+  const std::string dir = FreshDir("tree_at_root");
   {
-    auto db = ShardedDB::Open(one);
-    ASSERT_TRUE(db.ok());
-    db.value()->Put(5, 55);
+    auto t = OpenDurableTree(DurableOpts(dir));
+    ASSERT_TRUE(t->tree->Put(5, 55).ok());
   }
-  EXPECT_FALSE(DB::Open(DurableOpts(sharded_dir)).ok());
-
-  const std::string db_dir = FreshDir("plain_db");
-  {
-    auto db = DB::Open(DurableOpts(db_dir));
-    ASSERT_TRUE(db.ok());
-    (*db)->Put(5, 55);
-  }
-  Options as_sharded = DurableOpts(db_dir);
-  as_sharded.num_shards = 1;
-  EXPECT_FALSE(ShardedDB::Open(as_sharded).ok());
+  const auto db = ShardedDB::Open(DurableOpts(dir));
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(FileExists(dir + "/shard_0"));
 }
 
 TEST(RecoveryTest, ShardedRetuneSurvivesRestart) {
@@ -429,24 +447,22 @@ TEST(RecoveryTest, ShardedRetuneSurvivesRestart) {
   }
 }
 
-TEST(RecoveryTest, LockFileRejectsASecondOpener) {
-  const std::string dir = FreshDir("lock");
-  auto first = DB::Open(DurableOpts(dir));
+class RecoveryShardsTest : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, RecoveryShardsTest,
+                         ::testing::Values(1, 2));
+
+TEST_P(RecoveryShardsTest, LockFileRejectsASecondOpener) {
+  const int num_shards = GetParam();
+  Options o = DurableOpts(FreshDir("lock_" + std::to_string(num_shards)));
+  o.num_shards = num_shards;
+  auto first = ShardedDB::Open(o);
   ASSERT_TRUE(first.ok());
   // A second process (simulated: a second instance) must be refused
   // while the first holds the deployment.
-  auto second = DB::Open(DurableOpts(dir));
-  EXPECT_FALSE(second.ok());
-  first->reset();  // releases the lock
-  auto third = DB::Open(DurableOpts(dir));
-  EXPECT_TRUE(third.ok());
-
-  const std::string sharded_dir = FreshDir("lock_sharded");
-  Options o = DurableOpts(sharded_dir);
-  o.num_shards = 2;
-  auto sharded = ShardedDB::Open(o);
-  ASSERT_TRUE(sharded.ok());
   EXPECT_FALSE(ShardedDB::Open(o).ok());
+  first->reset();  // releases the lock
+  EXPECT_TRUE(ShardedDB::Open(o).ok());
 }
 
 TEST(RecoveryTest, OpenTunedShardedDbRecoversInsteadOfRebuilding) {
@@ -632,67 +648,49 @@ TEST(RecoveryTest, SingleFlushServiceThreadRegardlessOfShardCount) {
   // Throwaway open/close first: lazily-spawned runtime threads (TSan's
   // background thread, malloc arenas) must not land in the deltas.
   { auto warm = ShardedDB::Open(o); ASSERT_TRUE(warm.ok()); }
-  {
-    const size_t before = CountProc("task");
-    auto db = ShardedDB::Open(o);
-    ASSERT_TRUE(db.ok());
-    EXPECT_EQ(CountProc("task"), before + 1)
-        << "shared flusher must run exactly one thread for 8 shards";
-  }
-  // Legacy topology for comparison: one interval thread per shard.
-  Options legacy = DurableOpts(FreshDir("per_shard_flushers"));
-  legacy.num_shards = 8;
-  legacy.background_maintenance = false;
-  legacy.wal_sync_mode = WalSyncMode::kBackground;
-  legacy.wal_sync_interval_ms = 5;
-  legacy.shared_wal_flusher = false;
   const size_t before = CountProc("task");
-  auto db = ShardedDB::Open(legacy);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ(CountProc("task"), before + 8);
+  EXPECT_EQ(CountProc("task"), before + 1)
+      << "the flush service must run exactly one thread for 8 shards";
 }
 
 // Regression for the per-checkpoint flusher churn: a WAL rewrite must
 // not tear down and recreate background-sync state. Before the fix,
 // every checkpoint replaced the writer (and its interval clock), so a
 // sub-interval checkpoint cadence postponed the background fsync
-// forever; now the appender survives the rewrite and the tick clock
-// keeps running, in both flusher topologies.
+// forever; now the appender survives the rewrite and the flush
+// service's tick clock keeps running.
 TEST(RecoveryTest, CheckpointChurnCannotStarveBackgroundSyncs) {
-  for (const bool shared : {true, false}) {
-    Options o = DurableOpts(
-        FreshDir(std::string("churn_") + (shared ? "shared" : "own")));
-    o.wal_sync_mode = WalSyncMode::kBackground;
-    o.wal_sync_interval_ms = 25;
-    o.shared_wal_flusher = shared;
-    auto db = DB::Open(o);
-    ASSERT_TRUE(db.ok());
-    // Checkpoint every few milliseconds for several intervals: each Put
-    // dirties the WAL and stays unsynced across the sleep, each Flush
-    // rewrites the log. With the old recreate-per-checkpoint writer the
-    // interval clock restarted at every Flush and no background fsync
-    // could ever fire; with the surviving writer the global tick lands
-    // in the dirty windows.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(400);
-    Key k = 0;
-    while (std::chrono::steady_clock::now() < deadline) {
-      (*db)->Put(k++, k);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      (*db)->Flush();
-    }
-    EXPECT_GT((*db)->stats().wal_rewrites.load(), 2u);
-    EXPECT_GT((*db)->stats().wal_syncs.load(), 0u)
-        << (shared ? "shared" : "own")
-        << " flusher starved by checkpoint churn";
-    // And no busy double-sync either: a clean WAL stays untouched.
+  Options o = DurableOpts(FreshDir("churn"));
+  o.wal_sync_mode = WalSyncMode::kBackground;
+  o.wal_sync_interval_ms = 25;
+  auto db = ShardedDB::Open(o);
+  ASSERT_TRUE(db.ok());
+  // Checkpoint every few milliseconds for several intervals: each Put
+  // dirties the WAL and stays unsynced across the sleep, each Flush
+  // rewrites the log. With the old recreate-per-checkpoint writer the
+  // interval clock restarted at every Flush and no background fsync
+  // could ever fire; with the surviving writer the global tick lands in
+  // the dirty windows.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(400);
+  Key k = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
     (*db)->Put(k++, k);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const uint64_t settled = (*db)->stats().wal_syncs.load();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_EQ((*db)->stats().wal_syncs.load(), settled)
-        << "idle WAL re-synced every interval";
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    (*db)->Flush();
   }
+  EXPECT_GT((*db)->TotalStats().wal_rewrites.load(), 2u);
+  EXPECT_GT((*db)->TotalStats().wal_syncs.load(), 0u)
+      << "background syncs starved by checkpoint churn";
+  // And no busy double-sync either: a clean WAL stays untouched.
+  (*db)->Put(k++, k);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const uint64_t settled = (*db)->TotalStats().wal_syncs.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ((*db)->TotalStats().wal_syncs.load(), settled)
+      << "idle WAL re-synced every interval";
 }
 
 TEST(RecoveryTest, KillBetweenCheckpointAndFirstPostCheckpointSync) {
@@ -700,14 +698,14 @@ TEST(RecoveryTest, KillBetweenCheckpointAndFirstPostCheckpointSync) {
   o.wal_sync_mode = WalSyncMode::kBackground;
   o.wal_sync_interval_ms = 60000;  // no background tick fires in-test
   {
-    auto db = DB::Open(o);
+    auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 300; ++k) (*db)->Put(k, k + 1);
     (*db)->Flush();          // checkpoint: manifest + WAL rewrite
     (*db)->Put(1000, 1001);  // committed to the new log, never fsynced
     (*db)->CrashForTesting();
   }
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   for (Key k = 0; k < 300; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 1);

@@ -1,7 +1,7 @@
 // Pins the zero-allocation guarantee of the buffered read path: after
-// warm-up, a point lookup on the memory backend must perform no heap
-// allocations at all. Lives in its own test binary because it replaces the
-// global allocator to count allocations.
+// warm-up, a point lookup through ShardedDB on the memory backend must
+// perform no heap allocations at all. Lives in its own test binary
+// because it replaces the global allocator to count allocations.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "lsm/db.h"
+#include "lsm/sharded_db.h"
 
 namespace {
 
@@ -56,13 +56,13 @@ class AllocationScope {
   }
 };
 
-std::unique_ptr<DB> LoadedDb(uint64_t n) {
+std::unique_ptr<ShardedDB> LoadedDb(uint64_t n) {
   Options o;
   o.size_ratio = 4;
   o.buffer_entries = 64;
   o.entries_per_page = 8;
   o.filter_bits_per_entry = 8.0;
-  auto db = DB::Open(o);
+  auto db = ShardedDB::Open(o);
   EXPECT_TRUE(db.ok());
   std::vector<std::pair<Key, Value>> pairs;
   for (uint64_t i = 0; i < n; ++i) pairs.emplace_back(2 * i, i);

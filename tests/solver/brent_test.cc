@@ -34,6 +34,39 @@ TEST(BrentTest, NonSymmetricConvex) {
   EXPECT_NEAR(r.x, std::log(2.0) / 3.0, 1e-7);
 }
 
+TEST(BrentTest, ConvexExponentialsMatchClosedForm) {
+  // The robust dual is convex; f(x) = e^{ax} + e^{-x} is a convex family
+  // with f'(x*) = 0 at x* = -ln(a) / (a + 1).
+  for (double a : {0.5, 1.0, 2.0, 5.0}) {
+    auto f = [a](double x) { return std::exp(a * x) + std::exp(-x); };
+    const double x_star = -std::log(a) / (a + 1.0);
+    Result1D r = BrentMinimize(f, -10.0, 10.0);
+    EXPECT_NEAR(r.x, x_star, 1e-6) << "a=" << a;
+    EXPECT_NEAR(r.fx, f(x_star), 1e-9) << "a=" << a;
+  }
+}
+
+TEST(BrentTest, IterationCapRespected) {
+  BrentOptions opts;
+  opts.max_iter = 5;
+  auto f = [](double x) { return std::cosh(x - 0.25); };
+  Result1D r = BrentMinimize(f, -100.0, 100.0, opts);
+  EXPECT_LE(r.iterations, 5);
+  EXPECT_FALSE(r.converged);
+}
+
+TEST(BrentTest, TightToleranceConverges) {
+  BrentOptions opts;
+  opts.tol = 1e-12;
+  auto f = [](double x) { return std::cosh(x - 0.25); };
+  Result1D r = BrentMinimize(f, -4.0, 4.0, opts);
+  EXPECT_TRUE(r.converged);
+  // x-precision near a quadratic minimum is limited to ~sqrt(machine eps)
+  // because the function is flat there.
+  EXPECT_NEAR(r.x, 0.25, 1e-6);
+  EXPECT_NEAR(r.fx, 1.0, 1e-12);
+}
+
 TEST(BrentTest, FlatRegionStillTerminates) {
   auto f = [](double x) { return x < 1.0 ? 0.0 : (x - 1.0); };
   Result1D r = BrentMinimize(f, -3.0, 3.0);

@@ -91,6 +91,22 @@ TEST(NelderMeadTest, CountsEvaluations) {
   EXPECT_TRUE(r.converged);
 }
 
+TEST(NelderMeadTest, IterationCapRespected) {
+  NelderMeadOptions opts;
+  opts.max_iter = 5;
+  auto f = [](const std::vector<double>& x) {
+    return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 2.0) * (x[1] + 2.0);
+  };
+  const Bounds box = Box({-5, -5}, {5, 5});
+  Result r = NelderMeadMinimize(f, {0.0, 0.0}, box, opts);
+  EXPECT_LE(r.iterations, 5);
+  EXPECT_FALSE(r.converged);
+  // A capped run still reports its best feasible vertex.
+  EXPECT_TRUE(box.Contains(r.x));
+  EXPECT_DOUBLE_EQ(r.fx, f(r.x));
+  EXPECT_LT(r.fx, f({0.0, 0.0}));
+}
+
 TEST(NelderMeadTest, StartOutsideBoxIsClamped) {
   auto f = [](const std::vector<double>& x) { return x[0] * x[0]; };
   Result r = NelderMeadMinimize(f, {100.0}, Box({-1}, {1}));

@@ -162,10 +162,10 @@ TEST(WalTest, AbandonDropsStagedRecords) {
 
 TEST(WalTest, ReopenAfterRewritePreservesSyncStateAndAppends) {
   const std::string path = TempWalPath("rewrite");
+  WalFlushService service(/*sync_interval_ms=*/1);
   std::atomic<int> syncs{0};
   auto writer = WalWriter::Open(path, WalSyncMode::kBackground,
-                                /*sync_interval_ms=*/1,
-                                [&syncs] { ++syncs; });
+                                [&syncs] { ++syncs; }, &service);
   ASSERT_TRUE(writer.ok());
   (*writer)->Append(1, "pre", 3);
   ASSERT_TRUE((*writer)->Commit().ok());
@@ -185,7 +185,7 @@ TEST(WalTest, ReopenAfterRewritePreservesSyncStateAndAppends) {
   ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
   ASSERT_TRUE((*writer)->ReopenAfterRewrite(path).ok());
   // The writer starts clean on the snapshot: no pending bytes, so the
-  // background flusher must not re-sync the already-durable file.
+  // flush service must not re-sync the already-durable file.
   const int syncs_after_swap = syncs.load();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(syncs.load(), syncs_after_swap) << "idle double-sync";
@@ -212,10 +212,9 @@ TEST(WalFlushServiceTest, DrivesAllRegisteredWritersFromOneThread) {
   std::vector<std::unique_ptr<WalWriter>> writers;
   for (int i = 0; i < kWriters; ++i) {
     syncs[i] = 0;
-    auto w = WalWriter::Open(
-        TempWalPath("service_" + std::to_string(i)),
-        WalSyncMode::kBackground, /*sync_interval_ms=*/1,
-        [&syncs, i] { ++syncs[i]; }, &service);
+    auto w = WalWriter::Open(TempWalPath("service_" + std::to_string(i)),
+                             WalSyncMode::kBackground,
+                             [&syncs, i] { ++syncs[i]; }, &service);
     ASSERT_TRUE(w.ok());
     writers.push_back(std::move(*w));
   }
@@ -247,8 +246,7 @@ TEST(WalFlushServiceTest, WriterLifecycleRacesServicePassSafely) {
     int n = 0;
     while (!stop.load()) {
       auto w = WalWriter::Open(TempWalPath("churn_" + std::to_string(n++ % 3)),
-                               WalSyncMode::kBackground, 1, nullptr,
-                               &service);
+                               WalSyncMode::kBackground, nullptr, &service);
       ASSERT_TRUE(w.ok());
       (*w)->Append(1, "y", 1);
       ASSERT_TRUE((*w)->Commit().ok());
@@ -256,8 +254,7 @@ TEST(WalFlushServiceTest, WriterLifecycleRacesServicePassSafely) {
     }
   });
   auto steady = WalWriter::Open(TempWalPath("churn_steady"),
-                                WalSyncMode::kBackground, 1, nullptr,
-                                &service);
+                                WalSyncMode::kBackground, nullptr, &service);
   ASSERT_TRUE(steady.ok());
   for (int i = 0; i < 200; ++i) {
     (*steady)->Append(1, "z", 1);
@@ -271,19 +268,26 @@ TEST(WalFlushServiceTest, WriterLifecycleRacesServicePassSafely) {
 
 TEST(WalTest, BackgroundModeSyncsEventually) {
   const std::string path = TempWalPath("background");
-  int syncs = 0;
+  WalFlushService service(/*sync_interval_ms=*/1);
+  std::atomic<int> syncs{0};
   {
     auto writer = WalWriter::Open(path, WalSyncMode::kBackground,
-                                  /*sync_interval_ms=*/1,
-                                  [&syncs] { ++syncs; });
+                                  [&syncs] { ++syncs; }, &service);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "payload", 7);
     ASSERT_TRUE((*writer)->Commit().ok());
-    // Clean close always flushes + syncs, whatever the flusher did.
+    // Clean close always flushes + syncs, whatever the service did.
   }
-  EXPECT_GE(syncs, 1);
+  EXPECT_GE(syncs.load(), 1);
   const auto records = ReadAll(path);
   ASSERT_EQ(records.size(), 1u);
+}
+
+TEST(WalTest, BackgroundModeRequiresAFlushService) {
+  const auto writer =
+      WalWriter::Open(TempWalPath("no_service"), WalSyncMode::kBackground);
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
