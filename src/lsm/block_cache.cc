@@ -55,8 +55,36 @@ void BlockCache::Insert(uint64_t store_id, SegmentId segment,
   slot.entries.assign(entries, entries + count);
   slot.referenced.store(false, std::memory_order_relaxed);
   slot.valid = true;
+  std::vector<size_t>& segment_slots =
+      s.by_segment[SegmentKey{store_id, segment}];
+  slot.segment_pos = segment_slots.size();
+  segment_slots.push_back(idx);
   s.index[key] = idx;
   s.usage_bytes += bytes;
+}
+
+void BlockCache::FreeSlot(Shard& s, size_t idx) {
+  Slot& slot = *s.slots[idx];
+  // Swap-remove from the segment's list, fixing the moved slot's index.
+  const auto list = s.by_segment.find(
+      SegmentKey{slot.key.store_id, slot.key.segment});
+  std::vector<size_t>& segment_slots = list->second;
+  const size_t moved = segment_slots.back();
+  segment_slots[slot.segment_pos] = moved;
+  s.slots[moved]->segment_pos = slot.segment_pos;
+  segment_slots.pop_back();
+  if (segment_slots.empty()) s.by_segment.erase(list);
+  ReleaseSlot(s, idx);
+}
+
+void BlockCache::ReleaseSlot(Shard& s, size_t idx) {
+  Slot& slot = *s.slots[idx];
+  s.usage_bytes -= SlotBytes(slot.entries.size());
+  s.index.erase(slot.key);
+  slot.entries.clear();
+  slot.entries.shrink_to_fit();
+  slot.valid = false;
+  s.free_slots.push_back(idx);
 }
 
 void BlockCache::EvictToFit(Shard& s, uint64_t need, Statistics* stats) {
@@ -75,32 +103,19 @@ void BlockCache::EvictToFit(Shard& s, uint64_t need, Statistics* stats) {
     if (victim.referenced.exchange(false, std::memory_order_relaxed)) {
       continue;  // second chance
     }
-    s.usage_bytes -= SlotBytes(victim.entries.size());
-    s.index.erase(victim.key);
-    victim.entries.clear();
-    victim.entries.shrink_to_fit();
-    victim.valid = false;
-    s.free_slots.push_back((s.hand + s.slots.size() - 1) % s.slots.size());
+    FreeSlot(s, (s.hand + s.slots.size() - 1) % s.slots.size());
     if (stats != nullptr) ++stats->cache_evictions;
   }
 }
 
 void BlockCache::EraseSegment(uint64_t store_id, SegmentId segment) {
+  const SegmentKey key{store_id, segment};
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    for (auto it = s.index.begin(); it != s.index.end();) {
-      if (it->first.store_id == store_id && it->first.segment == segment) {
-        Slot& slot = *s.slots[it->second];
-        s.usage_bytes -= SlotBytes(slot.entries.size());
-        slot.entries.clear();
-        slot.entries.shrink_to_fit();
-        slot.valid = false;
-        s.free_slots.push_back(it->second);
-        it = s.index.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    const auto list = s.by_segment.find(key);
+    if (list == s.by_segment.end()) continue;
+    for (const size_t idx : list->second) ReleaseSlot(s, idx);
+    s.by_segment.erase(list);
   }
 }
 

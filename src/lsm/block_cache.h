@@ -63,7 +63,8 @@ class BlockCache {
 
   /// Drops every cached page of (store_id, segment). Called by
   /// PageStore::FreeSegment so a recycled SegmentId can never resurrect a
-  /// dead segment's pages.
+  /// dead segment's pages. Visits only that segment's slots (each cache
+  /// shard lists its slots per segment), not the whole index.
   void EraseSegment(uint64_t store_id, SegmentId segment);
 
   /// Retargets the byte capacity (memory arbiter). Shards evict down to
@@ -98,17 +99,36 @@ class BlockCache {
     }
   };
 
+  /// (store, segment): the unit EraseSegment drops.
+  struct SegmentKey {
+    uint64_t store_id = 0;
+    SegmentId segment = 0;
+    bool operator==(const SegmentKey& o) const {
+      return store_id == o.store_id && segment == o.segment;
+    }
+  };
+  struct SegmentHash {
+    size_t operator()(const SegmentKey& k) const {
+      return KeyHash{}(CacheKey{k.store_id, k.segment, 0});
+    }
+  };
+
   struct Slot {
     CacheKey key;
     std::vector<Entry> entries;
     /// Second-chance bit: set lock-free on hit, cleared by the hand.
     std::atomic<bool> referenced{false};
     bool valid = false;
+    /// Position in its segment's list in Shard::by_segment (valid only).
+    size_t segment_pos = 0;
   };
 
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<CacheKey, size_t, KeyHash> index;  ///< key -> slot
+    /// The valid slots of each segment (unordered).
+    std::unordered_map<SegmentKey, std::vector<size_t>, SegmentHash>
+        by_segment;
     std::vector<std::unique_ptr<Slot>> slots;             ///< clock ring
     std::vector<size_t> free_slots;
     size_t hand = 0;
@@ -121,6 +141,12 @@ class BlockCache {
   /// Evicts clock-style until `need` more bytes fit under the per-shard
   /// share of capacity. Shard lock held.
   void EvictToFit(Shard& s, uint64_t need, Statistics* stats);
+  /// Invalidates valid slot `idx`: its segment-list entry goes, then
+  /// ReleaseSlot. Shard lock held.
+  static void FreeSlot(Shard& s, size_t idx);
+  /// Drops valid slot `idx`'s bytes and index entry and returns it to the
+  /// free list (its segment list is the caller's). Shard lock held.
+  static void ReleaseSlot(Shard& s, size_t idx);
   uint64_t PerShardCapacity() const {
     return capacity() / shards_.size();
   }

@@ -117,7 +117,7 @@ Status LsmTree::MaintainAfterWrite() {
     // maintenance has fallen behind (the previous sealed buffer is still
     // pending), the active buffer absorbs writes over capacity while the
     // owner stalls writers upstream until the scheduler drains the debt.
-    if (sealed_ == nullptr) SealMemtable();
+    if (sealed_ == nullptr) return SealMemtable();
     return Status::OK();
   }
   return Flush();
@@ -144,18 +144,19 @@ Status LsmTree::Write(const Entry& e) {
   active_->Upsert(e);
   BumpVisible(e.seq);
   Status s = MaintainAfterWrite();
-  // Log after applying: if the write just triggered a flush, the entry is
-  // already covered by the manifest the checkpoint published, and the
-  // extra WAL record is a benign duplicate at replay (same seq, same
+  // Log after applying: if the write just triggered a seal or flush, the
+  // record lands in the fresh generation while the entry sits in the
+  // sealed buffer or a run — a benign duplicate at replay (same seq, same
   // value). The invariant an acknowledged write relies on is that by the
   // time this returns it is in memtable ∪ runs and in WAL ∪ manifest.
   if (s.ok() && wal_ != nullptr) {
     StageWalRecord(e);
     s = CommitWal();
   }
-  // A foreground write-path I/O failure (inline flush, checkpoint, WAL
-  // commit) latches: the entry may be applied but is not logged, so the
-  // tree must stop acknowledging writes it cannot make durable.
+  // A foreground write-path I/O failure (inline flush, manifest publish,
+  // WAL rotation or commit) latches: the entry may be applied but is not
+  // logged, so the tree must stop acknowledging writes it cannot make
+  // durable.
   LatchBackgroundError(s);
   return s;
 }
@@ -176,9 +177,8 @@ Status LsmTree::PutBatch(const std::vector<std::pair<Key, Value>>& pairs) {
       LatchBackgroundError(s);
       return s;  // a prefix of the batch is applied but unacknowledged
     }
-    // Records staged before a mid-batch flush are absorbed into that
-    // checkpoint's WAL snapshot (they are already applied); the rest
-    // commit in one group below.
+    // Records staged before a mid-batch seal or flush carry over to the
+    // fresh generation and commit with the rest in one group below.
     if (wal_ != nullptr) StageWalRecord(e);
   }
   const Status s = CommitWal();
@@ -190,11 +190,17 @@ Status LsmTree::Delete(Key key) {
   return Write(Entry{key, next_seq_++, 0, EntryType::kTombstone});
 }
 
-void LsmTree::SealMemtable() {
+Status LsmTree::SealMemtable() {
   ENDURE_CHECK(sealed_ == nullptr);
+  // The new buffer logs to a fresh generation, so the flush that retires
+  // the sealed buffer retires its generations whole.
+  ENDURE_RETURN_IF_ERROR(RotateWal());
   sealed_ = std::move(active_);
+  sealed_wal_gen_ = active_wal_gen_;
   active_ = std::make_shared<MemTable>(EffectiveBufferCapacity());
+  active_wal_gen_ = wal_gen_;
   PublishSnapshot();
+  return Status::OK();
 }
 
 Status LsmTree::FlushBuffer(const MemTable& buffer) {
@@ -229,9 +235,12 @@ Status LsmTree::FlushSealedInternal() {
 
 Status LsmTree::Flush() {
   ENDURE_RETURN_IF_ERROR(Health());
+  if (sealed_ == nullptr && active_->empty()) return Status::OK();
+  // Later writes log to a fresh generation, so the flushed buffers'
+  // generations retire whole once the manifest lands.
+  if (!active_->empty()) ENDURE_RETURN_IF_ERROR(RotateWal());
   // Age order: the sealed buffer predates the active one, so its run must
   // land on level 1 first (runs within a level are newest-first).
-  const bool had_work = sealed_ != nullptr || !active_->empty();
   if (sealed_ != nullptr) ENDURE_RETURN_IF_ERROR(FlushSealedInternal());
   if (!active_->empty()) {
     const Status s = FlushBuffer(*active_);
@@ -240,12 +249,12 @@ Status LsmTree::Flush() {
       // the old buffer — its entries stay readable there until the last
       // reader drops it, and in the new run for everyone after.
       active_ = std::make_shared<MemTable>(EffectiveBufferCapacity());
+      active_wal_gen_ = wal_gen_;
     }
     PublishSnapshot();
     ENDURE_RETURN_IF_ERROR(s);
   }
-  if (had_work) ENDURE_RETURN_IF_ERROR(CheckpointIfDurable());
-  return Status::OK();
+  return PublishManifestIfDurable();
 }
 
 Status LsmTree::AddRunToLevel(std::shared_ptr<Run> run, int level) {
@@ -553,7 +562,7 @@ Status LsmTree::BulkLoad(const std::vector<Entry>& sorted_entries) {
   // visible to snapshot readers before publishing the runs.
   BumpVisible(max_seq);
   PublishSnapshot();
-  return CheckpointIfDurable();
+  return PublishManifestIfDurable();
 }
 
 Status LsmTree::Reconfigure(const Options& new_options) {
@@ -600,18 +609,16 @@ Status LsmTree::Reconfigure(const Options& new_options) {
     if (!opts_.background_maintenance) {
       ENDURE_RETURN_IF_ERROR(Flush());
     } else if (sealed_ == nullptr) {
-      SealMemtable();
+      ENDURE_RETURN_IF_ERROR(SealMemtable());
     }
   }
   // Republish even when nothing sealed or flushed: the snapshot carries
   // the tuning epoch and the fence-skip flag readers consult.
   PublishSnapshot();
   // Persist the new tuning immediately: a retune must survive a crash
-  // that lands before the first post-retune flush. The memtables'
-  // contents are unchanged (a seal only moves the buffer aside, and an
-  // inline flush checkpointed already), so the WAL needs no rewrite. On
-  // failure the new tuning is applied in memory but not persisted — the
-  // caller may retry (the next successful checkpoint publishes it too).
+  // that lands before the first post-retune flush. On failure the new
+  // tuning is applied in memory but not persisted — the caller may retry
+  // (the next successful publication carries it too).
   return PublishManifestIfDurable();
 }
 
@@ -643,7 +650,8 @@ bool LsmTree::AnyNonConforming() const {
 
 bool LsmTree::HasMaintenanceWork() const {
   if (!Health().ok()) return false;
-  return sealed_ != nullptr || migration_pending_ || AnyNonConforming();
+  return sealed_ != nullptr || migration_pending_ ||
+         publish_owed_.load(std::memory_order_relaxed) || AnyNonConforming();
 }
 
 int LsmTree::MaintenancePriority() const {
@@ -689,12 +697,15 @@ MaintenanceUnit LsmTree::PrepareMaintenance() {
         FilterBitsForLevel(act_as_leveling ? level : level + 1, depth);
     return unit;
   }
-  if (migration_pending_) {
-    // Every level conforms: the migration is resolved. Persisting the
-    // cleared flag is best effort — an unpersisted clear merely costs a
-    // reopen one conformance scan.
-    migration_pending_ = false;
-    (void)PublishManifestIfDurable();
+  // Every level conforms: a pending migration is resolved. The cleared
+  // flag — like a manifest a failed publication left owed — is persisted
+  // by a publish-only unit, so not even this write happens under the
+  // owner's lock.
+  const bool resolved = migration_pending_;
+  migration_pending_ = false;
+  if (!durable_dir_.empty() &&
+      (resolved || publish_owed_.load(std::memory_order_relaxed))) {
+    unit.kind = MaintenanceUnit::Kind::kPublish;
   }
   return unit;
 }
@@ -703,6 +714,7 @@ Status LsmTree::ExecuteMaintenance(MaintenanceUnit* unit,
                                    const MergeLimits& limits) {
   switch (unit->kind) {
     case MaintenanceUnit::Kind::kNone:
+    case MaintenanceUnit::Kind::kPublish:
       return Status::OK();
     case MaintenanceUnit::Kind::kFlush: {
       // Flushes unblock writers, so they are exempt from the rate
@@ -745,7 +757,6 @@ Status LsmTree::InstallMaintenance(MaintenanceUnit* unit) {
     unit->output.reset();
     return Status::OK();
   }
-
   if (unit->kind == MaintenanceUnit::Kind::kFlush) {
     if (sealed_ != unit->buffer) {
       // A foreground Flush consumed the buffer meanwhile; its entries
@@ -758,38 +769,39 @@ Status LsmTree::InstallMaintenance(MaintenanceUnit* unit) {
     auto& l1 = levels_[0];
     l1.insert(l1.begin(), std::move(unit->output));  // newest first
     sealed_.reset();
-    PublishSnapshot();
     // The cascade continues stepwise: if level 1 stopped conforming, the
-    // next prepared unit merges it. A checkpoint failure here is safe
-    // and retryable — the installed entries remain covered by the
-    // un-rewritten WAL.
-    return CheckpointIfDurable();
+    // next prepared unit merges it.
+    PublishSnapshot();
+  } else if (unit->kind == MaintenanceUnit::Kind::kCompaction) {
+    if (!InstallCompaction(unit)) {
+      unit->output.reset();
+      return Status::OK();
+    }
+    PublishSnapshot();
+    if (unit->priority == 1) ++stats_->migration_steps;
   }
+  // Drop the unit's hold on what it replaced before capturing: a segment
+  // freed by then is in no later manifest, so this publication may
+  // unlink it.
+  unit->buffer.reset();
+  unit->inputs.clear();
+  if (!durable_dir_.empty()) unit->publication = CapturePublication();
+  return Status::OK();
+}
 
-  // Compaction: the snapshot must still be resident as the OLDEST runs
-  // of the level (a racing flush install may have prepended newer ones —
-  // fine, the output slots in behind them). Anything else means a
-  // foreground cascade rewrote the level: discard.
+bool LsmTree::InstallCompaction(MaintenanceUnit* unit) {
+  // The snapshot must still be resident as the OLDEST runs of the level
+  // (a racing flush install may have prepended newer ones — fine, the
+  // output slots in behind them). Anything else means a foreground
+  // cascade rewrote the level: discard.
   const int level = unit->level;
-  if (level > static_cast<int>(levels_.size())) {
-    unit->output.reset();
-    return Status::OK();
-  }
+  if (level > static_cast<int>(levels_.size())) return false;
   auto& runs = levels_[level - 1];
   const size_t k = unit->inputs.size();
-  bool inputs_resident = runs.size() >= k;
-  if (inputs_resident) {
-    const size_t off = runs.size() - k;
-    for (size_t i = 0; i < k; ++i) {
-      if (runs[off + i] != unit->inputs[i]) {
-        inputs_resident = false;
-        break;
-      }
-    }
-  }
-  if (!inputs_resident) {
-    unit->output.reset();
-    return Status::OK();
+  if (runs.size() < k ||
+      !std::equal(unit->inputs.begin(), unit->inputs.end(),
+                  runs.end() - static_cast<ptrdiff_t>(k))) {
+    return false;
   }
   runs.erase(runs.end() - static_cast<ptrdiff_t>(k), runs.end());
 
@@ -820,10 +832,18 @@ Status LsmTree::InstallMaintenance(MaintenanceUnit* unit) {
   }
   // A null merged output means every entry consolidated away: removing
   // the suffix was the whole install.
-  PublishSnapshot();
+  return true;
+}
 
-  if (unit->priority == 1) ++stats_->migration_steps;
-  return PublishManifestIfDurable();
+Status LsmTree::PublishMaintenance(MaintenanceUnit* unit) {
+  if (!unit->publication.has_value()) return Status::OK();
+  const Status s = Publish(*unit->publication);
+  unit->publication.reset();
+  // Off the owner's lock anyway: create the next generation now, so the
+  // write that seals the next buffer does not open it. (No unit runs
+  // once CrashForTesting may reset wal_.)
+  if (s.ok() && wal_ != nullptr) wal_->PrepareRotation();
+  return s;
 }
 
 Status LsmTree::AdvanceMigration(bool* did_work) {
@@ -870,7 +890,7 @@ Status LsmTree::AdvanceMigration(bool* did_work) {
     PublishSnapshot();
     // A manifest failure here is NOT rolled back: the in-memory tree is
     // consistent and merely ahead of the (still valid) old manifest; the
-    // next successful checkpoint catches up. Deferred segment deletes
+    // next successful publication catches up. Deferred segment deletes
     // purge only after a successful publish, so the old manifest's
     // segments remain on disk.
     ENDURE_RETURN_IF_ERROR(PublishManifestIfDurable());
@@ -974,27 +994,58 @@ Status LsmTree::CommitWal() {
   return s;
 }
 
-Status LsmTree::CheckpointIfDurable() {
-  if (durable_dir_.empty()) return Status::OK();
-  return Checkpoint();
+uint64_t LsmTree::OldestLiveWalGen() const {
+  if (sealed_ != nullptr) return sealed_wal_gen_;
+  return active_->empty() ? wal_gen_ : active_wal_gen_;
+}
+
+Status LsmTree::RotateWal() {
+  if (wal_ == nullptr) return Status::OK();
+  ENDURE_RETURN_IF_ERROR(wal_->Rotate());
+  wal_gen_ = wal_->generation();
+  ++stats_->wal_rotations;
+  return Status::OK();
+}
+
+ManifestPublication LsmTree::CapturePublication() {
+  // This capture carries every change a failed publication missed.
+  publish_owed_.store(false, std::memory_order_relaxed);
+  ManifestPublication p;
+  p.seq = ++capture_seq_;
+  p.manifest = ToManifest();
+  p.delete_mark = file_store_->DeleteMark();
+  return p;
+}
+
+Status LsmTree::Publish(const ManifestPublication& p) {
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  if (durable_dir_.empty()) return Status::OK();  // CrashForTesting'd
+  // A capture older than the manifest on disk writes nothing (it would
+  // roll the manifest back); what it retires, the newer one retired too.
+  if (p.seq > published_seq_) {
+    const Status s =
+        WriteManifest(durable_dir_ + "/" + kManifestFileName, p.manifest);
+    if (!s.ok()) {
+      // The old manifest stands, with everything it references: no
+      // unlink below. Maintenance owes the tree a publication.
+      publish_owed_.store(true, std::memory_order_relaxed);
+      return s;
+    }
+    ++stats_->manifest_writes;
+    published_seq_ = p.seq;
+  }
+  // The durable manifest references neither the segments freed before
+  // the capture nor the generations below its oldest live one.
+  file_store_->PurgePendingDeletes(p.delete_mark);
+  for (; unretired_wal_gen_ < p.manifest.wal_min_gen; ++unretired_wal_gen_) {
+    (void)RemoveFile(WalPath(durable_dir_, unretired_wal_gen_));
+  }
+  return Status::OK();
 }
 
 Status LsmTree::PublishManifestIfDurable() {
   if (durable_dir_.empty()) return Status::OK();
-  return PublishManifest();
-}
-
-Status LsmTree::PublishManifest() {
-  if (durable_dir_.empty()) {
-    return Status::FailedPrecondition("durability is not attached");
-  }
-  ENDURE_RETURN_IF_ERROR(WriteManifest(
-      durable_dir_ + "/" + kManifestFileName, ToManifest()));
-  ++stats_->manifest_writes;
-  // The new manifest no longer references compacted-away segments;
-  // their deferred unlinks are now safe.
-  file_store_->PurgePendingDeletes();
-  return Status::OK();
+  return Publish(CapturePublication());
 }
 
 ManifestData LsmTree::ToManifest() const {
@@ -1004,6 +1055,7 @@ ManifestData LsmTree::ToManifest() const {
   m.migration_pending = migration_pending_;
   m.next_seq = next_seq_;
   m.next_file_id = file_store_ != nullptr ? file_store_->next_id() : 1;
+  m.wal_min_gen = OldestLiveWalGen();
   m.levels.resize(levels_.size());
   for (size_t i = 0; i < levels_.size(); ++i) {
     for (const auto& run : levels_[i]) {
@@ -1032,6 +1084,10 @@ Status LsmTree::RecoverFrom(const ManifestData& m) {
   }
   tuning_epoch_ = m.tuning_epoch;
   migration_pending_ = m.migration_pending;
+  // Replay starts at the oldest live generation; every buffer it fills
+  // starts there too.
+  wal_gen_ = m.wal_min_gen;
+  active_wal_gen_ = m.wal_min_gen;
   if (m.next_seq > next_seq_) next_seq_ = m.next_seq;
   file_store_->set_next_id(m.next_file_id);
   EnsureLevel(static_cast<int>(m.levels.size()));
@@ -1063,24 +1119,39 @@ Status LsmTree::ReplayEntry(const Entry& e) {
   return MaintainAfterWrite();
 }
 
-StatusOr<uint64_t> LsmTree::ReplayWal(const std::string& wal_path) {
-  auto reader_or = WalReader::Open(wal_path);
-  if (!reader_or.ok()) return reader_or.status();
-  std::unique_ptr<WalReader> reader = std::move(reader_or).value();
+StatusOr<uint64_t> LsmTree::ReplayWal(const std::string& dir) {
+  // The live generations: the manifest's oldest live one (wal_gen_, set
+  // by RecoverFrom) and every later file, oldest first.
+  auto names = ListDir(dir);
+  if (!names.ok()) return names.status();
+  std::vector<uint64_t> gens;
+  for (const std::string& name : *names) {
+    const std::optional<uint64_t> gen = ParseWalFileName(name);
+    if (gen.has_value() && *gen >= wal_gen_) gens.push_back(*gen);
+  }
+  std::sort(gens.begin(), gens.end());
   uint64_t replayed = 0;
   SeqNum max_seq = 0;
   uint8_t type;
   std::string payload;
-  while (reader->Next(&type, &payload)) {
-    // Unknown record types and malformed payloads are skipped, not
-    // fatal: the prefix property only depends on the framing CRC.
-    if (type != kWalEntryRecord || payload.size() != kEncodedEntryBytes) {
-      continue;
+  for (const uint64_t gen : gens) {
+    // A buffer sealed or flushed while this file replays leaves a fresh
+    // one whose entries come from this generation on.
+    wal_gen_ = gen;
+    auto reader_or = WalReader::Open(WalPath(dir, gen));
+    if (!reader_or.ok()) return reader_or.status();
+    std::unique_ptr<WalReader> reader = std::move(reader_or).value();
+    while (reader->Next(&type, &payload)) {
+      // Unknown record types and malformed payloads are skipped, not
+      // fatal: the prefix property only depends on the framing CRC.
+      if (type != kWalEntryRecord || payload.size() != kEncodedEntryBytes) {
+        continue;
+      }
+      const Entry e = DecodeEntry(payload.data());
+      ENDURE_RETURN_IF_ERROR(ReplayEntry(e));
+      max_seq = std::max(max_seq, e.seq);
+      ++replayed;
     }
-    const Entry e = DecodeEntry(payload.data());
-    ENDURE_RETURN_IF_ERROR(ReplayEntry(e));
-    max_seq = std::max(max_seq, e.seq);
-    ++replayed;
   }
   if (max_seq >= next_seq_) next_seq_ = max_seq + 1;
   stats_->wal_replayed_entries += replayed;
@@ -1091,92 +1162,48 @@ Status LsmTree::AttachDurability(const std::string& dir,
                                  WalFlushService* flush_service) {
   ENDURE_CHECK_MSG(opts_.durability && file_store_ != nullptr,
                    "AttachDurability requires Options::durability");
-  durable_dir_ = dir;
-  flush_service_ = flush_service;
-  // Checkpoint opens the WAL appender; the directory is consistent (and
-  // a replayed WAL compacted) the moment durable operation begins.
-  const Status s = Checkpoint();
-  if (!s.ok()) durable_dir_.clear();
+  // Log to a fresh generation past every file replay read: the newest
+  // of those may end in a torn record, and appends behind a tear would
+  // be invisible to the next replay.
+  Statistics* stats = stats_;
+  auto wal_or =
+      WalWriter::Open(dir, wal_gen_ + 1, opts_.wal_sync_mode,
+                      [stats] { ++stats->wal_syncs; }, flush_service);
+  if (!wal_or.ok()) return wal_or.status();
+  wal_ = std::move(wal_or).value();
+  wal_gen_ = wal_->generation();
+  wal_->PrepareRotation();
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    durable_dir_ = dir;
+  }
+  // The directory is consistent the moment durable operation begins.
+  Status s = PublishManifestIfDurable();
+  if (s.ok()) s = RemoveStaleWals();
+  if (!s.ok()) {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    durable_dir_.clear();
+  }
   return s;
 }
 
-Status LsmTree::Checkpoint() {
-  if (durable_dir_.empty()) {
-    return Status::FailedPrecondition("durability is not attached");
-  }
-  // 1. Publish the manifest (and purge deferred deletes). From here on
-  //    the flushed runs are owned by the manifest; memtable contents
-  //    are owned by the WAL below. A crash between the two steps leaves
-  //    the new manifest with the old WAL — replay then re-applies
-  //    entries the manifest already covers, which is a benign duplicate
-  //    (same seq, same value).
-  ENDURE_RETURN_IF_ERROR(PublishManifest());
-
-  // 2. Rewrite the WAL to exactly the resident memtable contents, via
-  //    temp + rename so a crash mid-rewrite keeps the old log. Records
-  //    staged on the old writer are already applied to the memtable, so
-  //    the snapshot below covers them. A background-fsync failure
-  //    latched on the appender still surfaces first: a rewrite must not
-  //    be the hole a dying device escapes through.
-  if (wal_ != nullptr) {
-    ENDURE_RETURN_IF_ERROR(wal_->deferred_error());
-  }
-  const std::string wal_path = durable_dir_ + "/" + kWalFileName;
-  const std::string tmp = wal_path + ".rewrite";
-  ENDURE_RETURN_IF_ERROR(RemoveFile(tmp));
-  {
-    auto snap_or = WalWriter::Open(tmp, WalSyncMode::kNone);
-    if (!snap_or.ok()) return snap_or.status();
-    std::unique_ptr<WalWriter> snap = std::move(snap_or).value();
-    char buf[kEncodedEntryBytes];
-    const MemTable* buffers[] = {sealed_.get(), active_.get()};
-    for (const MemTable* mt : buffers) {  // older (sealed) first
-      if (mt == nullptr) continue;
-      for (SkipList::Iterator it = mt->NewIterator(); it.Valid();
-           it.Next()) {
-        EncodeEntry(it.entry(), buf);
-        snap->Append(kWalEntryRecord, buf, kEncodedEntryBytes);
-      }
-    }
-    Status snap_status = snap->Commit();
-    // Always synced, whatever the running mode: the rename below must
-    // never replace a durable log with a less-durable one. Explicit so
-    // the error surfaces; Abandon() then stops the destructor from
-    // repeating the (already clean) flush+fsync.
-    if (snap_status.ok()) snap_status = snap->Sync();
-    snap->Abandon();
-    if (!snap_status.ok()) {
-      (void)RemoveFile(tmp);  // don't strand the partial snapshot
-      return snap_status;
+Status LsmTree::RemoveStaleWals() {
+  // WAL files below the oldest live generation are leftovers of a crash
+  // between a manifest landing and the unlinks it allowed (or a
+  // version-1 tree's single log once its contents reached runs), and a
+  // version-1 tree's interrupted rewrite temp file is garbage outright.
+  const uint64_t oldest_live = OldestLiveWalGen();
+  auto names = ListDir(durable_dir_);
+  if (!names.ok()) return names.status();
+  for (const std::string& name : *names) {
+    const std::optional<uint64_t> gen = ParseWalFileName(name);
+    if ((gen.has_value() && *gen < oldest_live) ||
+        name == "wal.log.rewrite") {
+      ENDURE_RETURN_IF_ERROR(RemoveFile(durable_dir_ + "/" + name));
     }
   }
-  if (const FaultOutcome f = CheckFault(FaultSite::kFileRename);
-      f.err != 0) {
-    (void)RemoveFile(tmp);
-    return Status::IOError("rename " + tmp + " -> " + wal_path +
-                           " failed (injected)");
-  }
-  if (std::rename(tmp.c_str(), wal_path.c_str()) != 0) {
-    (void)RemoveFile(tmp);
-    return Status::IOError("rename " + tmp + " -> " + wal_path);
-  }
-  ENDURE_RETURN_IF_ERROR(SyncDir(durable_dir_));
-  ++stats_->wal_rewrites;
-
-  // 3. Point the appender at the rewritten log. The writer object (and
-  //    with it the flush-service registration and the interval phase)
-  //    survives: tearing it down per checkpoint used to reset the
-  //    background-sync clock, letting a sub-interval checkpoint cadence
-  //    postpone interval syncs indefinitely.
-  if (wal_ != nullptr) {
-    return wal_->ReopenAfterRewrite(wal_path);
-  }
-  Statistics* stats = stats_;
-  auto wal_or =
-      WalWriter::Open(wal_path, opts_.wal_sync_mode,
-                      [stats] { ++stats->wal_syncs; }, flush_service_);
-  if (!wal_or.ok()) return wal_or.status();
-  wal_ = std::move(wal_or).value();
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  unretired_wal_gen_ = oldest_live;
   return Status::OK();
 }
 
@@ -1185,7 +1212,8 @@ void LsmTree::CrashForTesting() {
     wal_->Abandon();
     wal_.reset();
   }
-  durable_dir_.clear();  // no further checkpoints; files stay as-is
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  durable_dir_.clear();  // no further publications; files stay as-is
 }
 
 StatusOr<bool> LoadDurableState(const std::string& dir, Options* opts,
@@ -1209,7 +1237,7 @@ Status RecoverAndAttach(LsmTree* tree, const ManifestData& m,
                         WalFlushService* flush_service) {
   if (existing) {
     ENDURE_RETURN_IF_ERROR(tree->RecoverFrom(m));
-    auto replayed = tree->ReplayWal(dir + "/" + kWalFileName);
+    auto replayed = tree->ReplayWal(dir);
     if (!replayed.ok()) return replayed.status();
     ++tree->stats()->recoveries;
   }

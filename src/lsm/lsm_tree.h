@@ -145,10 +145,21 @@ class AtomicSnapshotPtr {
 #endif
 };
 
+/// A durable tree's manifest, captured under the owner's lock and written
+/// without it (LsmTree::PublishMaintenance). Captures are numbered, and a
+/// capture older than the manifest already on disk writes nothing, so a
+/// slow publisher can never roll the manifest back.
+struct ManifestPublication {
+  uint64_t seq = 0;          ///< capture order within the tree
+  ManifestData manifest;     ///< the durable state at capture
+  uint64_t delete_mark = 0;  ///< FilePageStore::DeleteMark() at capture
+};
+
 /// One unit of background maintenance, produced by PrepareMaintenance()
 /// under the owner's lock, executed (all I/O) by ExecuteMaintenance()
-/// with NO lock held, and made visible by InstallMaintenance() back under
-/// the lock. The unit snapshots everything the off-lock phase needs —
+/// with NO lock held, made visible by InstallMaintenance() back under
+/// the lock, and made durable by PublishMaintenance() with the lock
+/// released again. The unit snapshots everything the off-lock phase needs —
 /// input runs (shared_ptr keeps their segments alive), the sealed buffer,
 /// the Bloom budget and tombstone rule frozen at prepare time — so
 /// Execute never touches the tree. Install validates that the tree still
@@ -156,7 +167,9 @@ class AtomicSnapshotPtr {
 /// buffer still sealed) and discards the output as a clean no-op when a
 /// foreground operation raced ahead.
 struct MaintenanceUnit {
-  enum class Kind { kNone, kFlush, kCompaction };
+  /// kPublish does no I/O but the manifest write: it persists a resolved
+  /// migration's cleared flag, or retries a publication that failed.
+  enum class Kind { kNone, kFlush, kCompaction, kPublish };
 
   Kind kind = Kind::kNone;
   /// Scheduler class: 0 = flush, 1 = migration step, 2 = major compaction.
@@ -173,6 +186,8 @@ struct MaintenanceUnit {
   bool drop_tombstones = false;
 
   std::shared_ptr<Run> output;  ///< produced by Execute, placed by Install
+  /// Captured by Install on a durable tree, written by Publish.
+  std::optional<ManifestPublication> publication;
 };
 
 /// The storage engine core. Writes and structural maintenance are
@@ -182,9 +197,10 @@ struct MaintenanceUnit {
 /// ReadSnapshot with a single atomic load and never touch the shard
 /// mutex, so any number of reader threads proceed concurrently with the
 /// writer and with maintenance installs. Background maintenance follows the
-/// prepare/execute/install protocol (MaintenanceUnit): only the snapshot
-/// and the run-list swap happen under the owner's lock, the merge I/O in
-/// between runs unlocked. With `Options::background_maintenance` the tree
+/// prepare/execute/install/publish protocol (MaintenanceUnit): only the
+/// snapshot, the run-list swap and a manifest capture happen under the
+/// owner's lock; the merge I/O and the manifest write run unlocked. With
+/// `Options::background_maintenance` the tree
 /// never flushes inline — filling the write buffer seals it into an
 /// immutable slot that stays readable (and is consulted by Get/Scan
 /// between the active buffer and the runs) until a flush unit (or an
@@ -240,15 +256,18 @@ class LsmTree {
   /// pending maintenance.
   bool HasSealedMemtable() const { return sealed_ != nullptr; }
 
-  // --- background maintenance protocol (prepare / execute / install) ---
+  // --- background maintenance protocol (prepare/execute/install/publish)
   // The owner (ShardedDB's compaction scheduler) drives one unit at a
   // time per tree:
   //   lock     -> unit = tree->PrepareMaintenance();       // snapshot
   //   unlock   -> s = tree->ExecuteMaintenance(&unit, limits);  // all I/O
   //   lock     -> if (s.ok()) s = tree->InstallMaintenance(&unit); // swap
+  //   unlock   -> if (s.ok()) s = tree->PublishMaintenance(&unit); // fsync
   // Execute touches only the unit's snapshot, the page store (internally
   // synchronized) and statistics — never opts_ or the level lists — so
-  // foreground reads and writes proceed under the lock meanwhile. Install
+  // foreground reads and writes proceed under the lock meanwhile; Publish
+  // touches only the captured manifest, the directory and the tree's
+  // publication state (its own mutex). Install
   // discards the output (returning OK) when the tree moved on: a
   // Reconfigure bumped the epoch, a foreground Flush consumed the sealed
   // buffer, or the input runs are no longer resident. One unit makes one
@@ -256,10 +275,11 @@ class LsmTree {
   // begins has fully settled, so the owner just keeps scheduling.
 
   /// Snapshots the most urgent pending unit: the sealed buffer (flush),
-  /// else the shallowest non-conforming level (compaction). Returns a
-  /// Kind::kNone unit when nothing is pending or the tree is latched;
-  /// as a side effect, a pending-migration flag with nothing left to do
-  /// is cleared here (with a best-effort manifest publish).
+  /// else the shallowest non-conforming level (compaction), else a
+  /// publication owed to disk (kPublish). Returns a Kind::kNone unit
+  /// when nothing is pending or the tree is latched; as a side effect, a
+  /// pending-migration flag with nothing left to do is cleared here (and
+  /// persisted by a kPublish unit).
   MaintenanceUnit PrepareMaintenance();
 
   /// Runs the unit's I/O (builds the flush run / merges the input runs)
@@ -270,14 +290,22 @@ class LsmTree {
 
   /// Publishes the unit's output into the level lists (under the owner's
   /// lock) after revalidating the snapshot; stale units are discarded and
-  /// return OK. Flush installs checkpoint (WAL shrink); compaction
-  /// installs publish the manifest. An error is retryable: on a flush the
-  /// entries remain WAL-covered, on a compaction the in-memory tree is
-  /// already consistent and merely ahead of the old manifest.
+  /// return OK. On a durable tree it also captures the manifest into
+  /// `unit->publication` — no I/O happens here.
   Status InstallMaintenance(MaintenanceUnit* unit);
 
+  /// Writes the manifest Install captured (if any), then unlinks the WAL
+  /// generations and deferred segment deletes it no longer references.
+  /// Call WITHOUT the owner's lock. An error is retryable and leaves the
+  /// old manifest standing with everything it references: the flushed
+  /// entries stay WAL-covered, and the in-memory tree is merely ahead of
+  /// disk — HasMaintenanceWork() stays true until a later publication
+  /// lands.
+  Status PublishMaintenance(MaintenanceUnit* unit);
+
   /// True when a unit is pending: a sealed buffer, a non-conforming
-  /// level, or an unresolved migration flag (false when latched).
+  /// level, an unresolved migration flag, or a publication owed after a
+  /// failed one (false when latched).
   bool HasMaintenanceWork() const;
 
   /// Priority of the next unit PrepareMaintenance would produce (0 =
@@ -378,11 +406,15 @@ class LsmTree {
   // --- durability (docs/durability.md) ---
   // A durable tree (Options::durability, file backend) logs every write
   // to a WAL before acknowledging it and publishes a manifest after every
-  // structural change. The open-recover sequence is:
+  // structural change. The WAL is a sequence of numbered generations
+  // (wal_<gen>.log): sealing or flushing a buffer rotates appends to a
+  // fresh one, and a manifest records the oldest generation any resident
+  // buffer still needs, so a flush retires logs by unlinking whole files.
+  // The open-recover sequence is:
   //   LsmTree tree(recovered_options, store, stats);   // empty tree
   //   tree.RecoverFrom(manifest);   // adopt segments, rebuild runs
-  //   tree.ReplayWal(wal_path);     // restore the memtable
-  //   tree.AttachDurability(dir);   // open the WAL, checkpoint once
+  //   tree.ReplayWal(dir);          // restore the memtables
+  //   tree.AttachDurability(dir);   // open a fresh generation, publish
   // ShardedDB::Open drives this per shard; tests may too.
 
   /// Restores levels, tuning epoch, migration flag and cursors from a
@@ -391,35 +423,30 @@ class LsmTree {
   /// reaps unreferenced segment files afterwards.
   Status RecoverFrom(const ManifestData& m);
 
-  /// Replays every intact WAL record into the memtable through the
-  /// normal write path (flushing/sealing when it fills), without
-  /// re-logging. Returns the number of entries replayed and advances the
-  /// sequence counter past the highest replayed seq.
-  StatusOr<uint64_t> ReplayWal(const std::string& wal_path);
+  /// Replays every intact record of `dir`'s live WAL generations (the
+  /// recovered manifest's oldest live one and every later file, in
+  /// order) into the memtable through the normal write path
+  /// (flushing/sealing when it fills), without re-logging. Returns the
+  /// number of entries replayed and advances the sequence counter past
+  /// the highest replayed seq.
+  StatusOr<uint64_t> ReplayWal(const std::string& dir);
 
-  /// Starts durable operation rooted at `dir`: opens the WAL for
-  /// appending and checkpoints once, leaving `dir` consistent. Under
-  /// WalSyncMode::kBackground `flush_service` (owned by the ShardedDB,
-  /// outliving the tree) drives this tree's periodic WAL syncs — one
-  /// thread per deployment rather than per shard; without one the WAL
-  /// appender cannot open in that mode (InvalidArgument).
+  /// Starts durable operation rooted at `dir`: opens a fresh WAL
+  /// generation for appending, publishes the manifest and unlinks WAL
+  /// files older than the live generations, leaving `dir` consistent.
+  /// Under WalSyncMode::kBackground `flush_service` (owned by the
+  /// ShardedDB, outliving the tree) drives this tree's periodic WAL syncs
+  /// — one thread per deployment rather than per shard; without one the
+  /// WAL appender cannot open in that mode (InvalidArgument).
   Status AttachDurability(const std::string& dir,
                           WalFlushService* flush_service = nullptr);
-
-  /// Publishes the manifest (atomic replace) and rewrites the WAL down
-  /// to exactly the resident memtable contents, then reaps segment files
-  /// the new manifest no longer references. Called automatically after
-  /// flushes, migrations, reconfigurations and bulk loads. The appender
-  /// and its background-sync state survive the rewrite (the fd is
-  /// swapped in place), so checkpoint frequency can never postpone or
-  /// duplicate an interval sync.
-  Status Checkpoint();
 
   /// Snapshot of the durable state (run layout, tuning, cursors).
   ManifestData ToManifest() const;
 
   /// Drops the WAL writer exactly as a crash would: staged-but-unsynced
-  /// records are lost, no final checkpoint happens. Kill-point test hook.
+  /// records are lost, no further publication happens. Kill-point test
+  /// hook; call with no maintenance unit in flight.
   void CrashForTesting();
 
  private:
@@ -428,7 +455,7 @@ class LsmTree {
   /// buffer — shared by the write path and WAL replay.
   Status MaintainAfterWrite();
   /// Detaches and flushes the sealed buffer (which must exist), without
-  /// checkpointing — Flush's first step. On failure the buffer is
+  /// publishing — Flush's first step. On failure the buffer is
   /// reinstalled as sealed_ (no entry is lost).
   Status FlushSealedInternal();
   /// Appends one entry record to the WAL (no commit — callers group).
@@ -437,17 +464,30 @@ class LsmTree {
   Status CommitWal();
   /// Replays one WAL entry through the write path, without logging.
   Status ReplayEntry(const Entry& e);
-  /// Publishes the manifest and purges deferred segment deletes — the
-  /// cheap half of Checkpoint(), sufficient when the memtables did not
-  /// change (migration steps, tuning-only reconfigures): the resident
-  /// WAL stays exactly right, so no rewrite and no extra fsyncs.
-  Status PublishManifest();
-  /// Checkpoint()/PublishManifest() when durable, no-op otherwise.
-  Status CheckpointIfDurable();
+  /// Switches WAL appends to the next generation (no-op before
+  /// AttachDurability). On failure nothing changed.
+  Status RotateWal();
+  /// Oldest WAL generation the resident buffers need (an empty active
+  /// buffer needs none but the current one).
+  uint64_t OldestLiveWalGen() const;
+  /// Captures the manifest for a later Publish (owner's lock held).
+  ManifestPublication CapturePublication();
+  /// Makes `p` durable unless a newer capture already is, then unlinks
+  /// what it retired. Needs no owner lock (serialized on publish_mu_).
+  Status Publish(const ManifestPublication& p);
+  /// Capture + Publish in one step — the foreground paths (Flush,
+  /// Reconfigure, migration steps, bulk load) — when durable.
   Status PublishManifestIfDurable();
+  /// Unlinks WAL files older than the live generations (attach time).
+  Status RemoveStaleWals();
   /// Moves the full active buffer into the sealed slot (which must be
-  /// empty) and installs a fresh active buffer.
-  void SealMemtable();
+  /// empty) and installs a fresh active buffer logging to a fresh WAL
+  /// generation. On a failed rotation nothing changed.
+  Status SealMemtable();
+  /// Install's compaction half: swaps the unit's output in for its
+  /// inputs. False (nothing changed) when the inputs are no longer the
+  /// level's oldest runs.
+  bool InstallCompaction(MaintenanceUnit* unit);
   /// Rebuilds and atomically publishes the ReadSnapshot from the current
   /// members. Called (under the owner's lock) after every structural
   /// change a reader may observe: construction, seal, flush, maintenance
@@ -499,11 +539,24 @@ class LsmTree {
   /// Durable mode only: `store_` downcast, for segment adoption and
   /// deferred-delete purging (null when durability is off).
   FilePageStore* file_store_ = nullptr;
-  std::string durable_dir_;  ///< empty until AttachDurability
-  /// Shared background-sync driver (not owned; required under
-  /// kBackground, unused by the other sync modes).
-  WalFlushService* flush_service_ = nullptr;
+  /// Empty until AttachDurability. Written with the owner's lock AND
+  /// publish_mu_ held, so either one suffices to read it.
+  std::string durable_dir_;
   std::unique_ptr<WalWriter> wal_;  ///< null until AttachDurability
+  /// WAL generation appends go to (during replay: the file replaying).
+  uint64_t wal_gen_ = 0;
+  /// Oldest generation holding records of the active / sealed buffer.
+  uint64_t active_wal_gen_ = 0;
+  uint64_t sealed_wal_gen_ = 0;
+  uint64_t capture_seq_ = 0;  ///< last ManifestPublication::seq handed out
+  /// A publication failed and no capture has been taken since: the
+  /// manifest on disk lags the tree, and maintenance owes a kPublish
+  /// unit. Set by publishers on any thread, cleared by captures.
+  std::atomic<bool> publish_owed_{false};
+  /// Serializes manifest writes and the unlinks they allow.
+  std::mutex publish_mu_;
+  uint64_t published_seq_ = 0;      ///< seq of the manifest on disk
+  uint64_t unretired_wal_gen_ = 0;  ///< lowest generation not unlinked
   /// The mutable write buffer. Shared: superseded read snapshots keep
   /// the old buffer alive after a flush swaps a fresh one in.
   std::shared_ptr<MemTable> active_;
@@ -546,9 +599,10 @@ StatusOr<bool> LoadDurableState(const std::string& dir, Options* opts,
 
 /// The per-tree recovery tail: when `existing`, recovers from `m`,
 /// replays `dir`'s WAL and counts the recovery; always attaches
-/// durability (opens the WAL appender — registered with `flush_service`
-/// when given — and checkpoints once). Thread-safe across trees: the
-/// parallel ShardedDB::Open runs one call per shard concurrently.
+/// durability (opens a fresh WAL generation — registered with
+/// `flush_service` when given — and publishes once). Thread-safe across
+/// trees: the parallel ShardedDB::Open runs one call per shard
+/// concurrently.
 Status RecoverAndAttach(LsmTree* tree, const ManifestData& m,
                         bool existing, const std::string& dir,
                         WalFlushService* flush_service = nullptr);

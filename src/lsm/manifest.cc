@@ -63,6 +63,7 @@ Status WriteManifest(const std::string& path, const ManifestData& m) {
   PutFixed<uint64_t>(&payload, m.tuning_epoch);
   PutFixed<uint64_t>(&payload, m.next_seq);
   PutFixed<uint64_t>(&payload, m.next_file_id);
+  PutFixed<uint64_t>(&payload, m.wal_min_gen);
   PutFixed<uint32_t>(&payload, static_cast<uint32_t>(m.levels.size()));
   for (const auto& level : m.levels) {
     PutFixed<uint32_t>(&payload, static_cast<uint32_t>(level.size()));
@@ -122,6 +123,7 @@ StatusOr<ManifestData> ReadManifest(const std::string& path) {
             GetFixed(blob, &pos, &m.tuning_epoch) &&
             GetFixed(blob, &pos, &m.next_seq) &&
             GetFixed(blob, &pos, &m.next_file_id) &&
+            (version < 2 || GetFixed(blob, &pos, &m.wal_min_gen)) &&
             GetFixed(blob, &pos, &num_levels);
   if (!ok) return Status::IOError("manifest " + path + ": short payload");
   m.size_ratio = static_cast<int>(size_ratio);

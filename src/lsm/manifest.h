@@ -25,11 +25,12 @@
 namespace endure::lsm {
 
 /// Manifest format version this build writes; readers accept <= this.
-inline constexpr uint32_t kManifestVersion = 1;
+/// Version 2 added `wal_min_gen` (numbered WAL generations); a version-1
+/// tree logged to the single file generation 0 names (util::WalPath).
+inline constexpr uint32_t kManifestVersion = 2;
 
 /// Conventional file names inside a durable tree's directory.
 inline constexpr const char* kManifestFileName = "MANIFEST";
-inline constexpr const char* kWalFileName = "wal.log";
 /// Advisory-lock file at a deployment root (util::FileLock): a durable
 /// directory may be open in at most one process.
 inline constexpr const char* kLockFileName = "LOCK";
@@ -77,6 +78,9 @@ struct ManifestData {
   bool migration_pending = false;  ///< resume AdvanceMigration if set
   uint64_t next_seq = 1;           ///< floor for the sequence counter
   uint64_t next_file_id = 1;       ///< floor for segment file ids
+  /// Oldest WAL generation still covering memtable contents: recovery
+  /// replays this one and every later one, and unlinks older ones.
+  uint64_t wal_min_gen = 0;
 
   /// levels[i] holds level i+1's runs, newest first (the tree's order).
   std::vector<std::vector<ManifestRun>> levels;

@@ -462,24 +462,26 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
     AlignedBuf* buf;
     ~Returner() { store->ReturnScratch(std::move(*buf)); }
   } returner{this, &raw};
-  const std::string path = PathFor(segment);
+  // PathFor allocates: only the error branches name the file.
   const FaultOutcome fault = CheckFault(FaultSite::kSegmentRead);
   if (fault.err != 0) {
-    return Status::IOError("segment read from " + path + " failed: " +
-                           ErrnoName(fault.err) + " [injected]");
+    return Status::IOError("segment read from " + PathFor(segment) +
+                           " failed: " + ErrnoName(fault.err) +
+                           " [injected]");
   }
   const ssize_t got = ::pread(meta.fd, raw.get(), disk_bytes,
                               static_cast<off_t>(page_idx * disk_bytes));
   if (got < 0) {
-    return Status::IOError("segment read from " + path + " failed: " +
-                           ErrnoName(errno));
+    const int err = errno;
+    return Status::IOError("segment read from " + PathFor(segment) +
+                           " failed: " + ErrnoName(err));
   }
   if (got != static_cast<ssize_t>(disk_bytes)) {
     ++stats_->checksum_failures;
     return Status::Corruption("truncated page " + std::to_string(page_idx) +
-                              " in " + path + " (" + std::to_string(got) +
-                              " of " + std::to_string(disk_bytes) +
-                              " bytes)");
+                              " in " + PathFor(segment) + " (" +
+                              std::to_string(got) + " of " +
+                              std::to_string(disk_bytes) + " bytes)");
   }
   uint32_t stored_count = 0;
   uint32_t stored_crc = 0;
@@ -490,7 +492,8 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   if (stored_crc != actual || stored_count != count) {
     ++stats_->checksum_failures;
     return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(page_idx) + " of " + path);
+                              std::to_string(page_idx) + " of " +
+                              PathFor(segment));
   }
   scratch->Reserve(entries_per_page_);
   Entry* dst = scratch->data();
@@ -516,7 +519,7 @@ void FilePageStore::FreeSegment(SegmentId segment) {
       // segment, and recovery must be able to reopen it if we crash
       // before the next manifest lands. PurgePendingDeletes() reaps it
       // afterwards.
-      pending_deletes_.push_back(PathFor(segment));
+      pending_deletes_.emplace_back(deletes_marked_++, PathFor(segment));
     } else {
       ::unlink(PathFor(segment).c_str());
     }
@@ -554,13 +557,18 @@ Status FilePageStore::AdoptSegment(SegmentId id, size_t num_entries) {
   return Status::OK();
 }
 
-void FilePageStore::PurgePendingDeletes() {
-  std::vector<std::string> doomed;
+void FilePageStore::PurgePendingDeletes(uint64_t mark) {
+  std::vector<std::pair<uint64_t, std::string>> doomed;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    doomed.swap(pending_deletes_);
+    const auto split = std::find_if(
+        pending_deletes_.begin(), pending_deletes_.end(),
+        [mark](const auto& pending) { return pending.first >= mark; });
+    doomed.assign(std::make_move_iterator(pending_deletes_.begin()),
+                  std::make_move_iterator(split));
+    pending_deletes_.erase(pending_deletes_.begin(), split);
   }
-  for (const std::string& path : doomed) {
+  for (const auto& [order, path] : doomed) {
     ::unlink(path.c_str());
   }
 }
@@ -572,7 +580,8 @@ Status FilePageStore::RemoveUnreferencedSegments() {
   if (!names.ok()) return names.status();
   for (const std::string& name : *names) {
     // Persistent segment names are seg_<id>.run; everything else in the
-    // directory (MANIFEST, wal.log, tmp files) is not ours to touch.
+    // directory (MANIFEST, WAL generations, tmp files) is not ours to
+    // touch.
     if (name.rfind("seg_", 0) != 0 || name.size() <= 8 ||
         name.substr(name.size() - 4) != ".run") {
       continue;

@@ -278,10 +278,10 @@ class MemPageStore final : public PageStore {
 /// - Persistent (`persistent = true`): segment names are stable
 ///   (`seg_<id>.run`), Seal() fsyncs the file before the segment becomes
 ///   referenceable, destruction keeps all files, FreeSegment defers the
-///   unlink until PurgePendingDeletes() (called after the next manifest
-///   publication, so a crash never leaves the manifest pointing at a
-///   deleted file), and AdoptSegment() re-registers a file from a
-///   previous process at recovery. See docs/durability.md.
+///   unlink until PurgePendingDeletes() (called once a manifest captured
+///   after the free is durable, so a crash never leaves the manifest
+///   pointing at a deleted file), and AdoptSegment() re-registers a file
+///   from a previous process at recovery. See docs/durability.md.
 class FilePageStore final : public PageStore {
  public:
   /// Creates `dir` if needed (best effort; segment creation reports the
@@ -311,9 +311,18 @@ class FilePageStore final : public PageStore {
   /// stores only; bumps next_id() past `id`.
   Status AdoptSegment(SegmentId id, size_t num_entries);
 
-  /// Unlinks every file whose FreeSegment was deferred (persistent mode).
-  /// Call after the manifest that stopped referencing them is on disk.
-  void PurgePendingDeletes();
+  /// Counts the FreeSegment calls so far (persistent mode). A manifest
+  /// captured after reading mark M references none of the first M freed
+  /// segments — a freed segment is resident nowhere.
+  uint64_t DeleteMark() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return deletes_marked_;
+  }
+
+  /// Unlinks the deferred deletes among the first `mark` FreeSegment
+  /// calls (persistent mode). Call once a manifest captured at `mark` (or
+  /// later) is on disk.
+  void PurgePendingDeletes(uint64_t mark);
 
   /// Unlinks `seg_*.run` files not currently registered — the leftovers
   /// of a crash between a segment write and the manifest publication.
@@ -363,7 +372,10 @@ class FilePageStore final : public PageStore {
   mutable std::mutex mu_;
   SegmentId next_id_ = 1;
   std::unordered_map<SegmentId, SegmentMeta> segments_;
-  std::vector<std::string> pending_deletes_;  ///< persistent mode only
+  /// Persistent mode: deferred unlinks, each tagged with its position
+  /// among FreeSegment calls (ascending), and the calls so far.
+  std::vector<std::pair<uint64_t, std::string>> pending_deletes_;
+  uint64_t deletes_marked_ = 0;
   /// Page-aligned read buffers, one borrowed per in-flight read; the pool
   /// high-water mark is the read concurrency (foreground + merge threads),
   /// so steady-state reads still allocate nothing.

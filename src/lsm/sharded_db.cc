@@ -276,14 +276,22 @@ void ShardedDB::RunMaintenanceUnit(Shard* shard) {
   // foreground Get/Put/Scan proceed against the still-resident inputs.
   Status s = shard->tree->ExecuteMaintenance(&unit, limits);
 
+  {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->unit_in_flight = false;
+    if (s.ok()) s = shard->tree->InstallMaintenance(&unit);
+    // Wake stalled writers now: the install may have cleared the sealed
+    // buffer or shrunk level 1 below the threshold.
+    shard->cv.notify_all();
+  }
+  // Durable publication — the manifest's fsyncs and rename, then the
+  // unlinks it allows — with the shard UNLOCKED too: writers never wait
+  // on the device behind a flush or compaction.
+  if (s.ok()) s = shard->tree->PublishMaintenance(&unit);
+
   std::lock_guard<std::mutex> lock(shard->mu);
-  shard->unit_in_flight = false;
-  if (s.ok()) s = shard->tree->InstallMaintenance(&unit);
   if (s.ok()) {
     shard->maintenance_failures = 0;
-    // Wake stalled writers BEFORE rescheduling: the install may have
-    // cleared the sealed buffer or shrunk level 1 below the threshold.
-    shard->cv.notify_all();
     MaybeScheduleMaintenance(shard);
     return;
   }

@@ -123,9 +123,9 @@ class ShardedDB {
   /// Serving-front-end drain hook: flushes every shard, waits out all
   /// scheduled maintenance (so sealed buffers, pending migrations and
   /// compactions converge) and returns Health(). A durable deployment is
-  /// fully checkpointed afterwards — the state a network server wants
-  /// the engine in between Server::Shutdown() and process exit, so the
-  /// next open replays an empty WAL tail. Safe alongside concurrent
+  /// fully flushed and published afterwards — the state a network server
+  /// wants the engine in between Server::Shutdown() and process exit, so
+  /// the next open replays an empty WAL tail. Safe alongside concurrent
   /// traffic (it is Flush + WaitForMaintenance), though new writes
   /// arriving during the drain naturally reopen buffers.
   Status Drain();
@@ -216,10 +216,10 @@ class ShardedDB {
   /// Simulates a *process* kill for the kill-point recovery tests: stops
   /// the maintenance pool (in-flight jobs finish — a thread cannot be
   /// killed mid-step; the crash point is after them), then drops every
-  /// shard's WAL writer without the final flush/sync or shutdown
-  /// checkpoint. Committed-but-unsynced write()s survive in the OS page
-  /// cache, as they would a real process death — this does not simulate
-  /// a machine crash losing them. The instance must only be destroyed
+  /// shard's WAL writer without the final flush/sync.
+  /// Committed-but-unsynced write()s survive in the OS page cache, as
+  /// they would a real process death — this does not simulate a machine
+  /// crash losing them. The instance must only be destroyed
   /// afterwards.
   void CrashForTesting();
 
@@ -269,13 +269,15 @@ class ShardedDB {
   /// whole-tree rebuild.
   void MaybeScheduleMaintenance(Shard* shard);
 
-  /// Body of a scheduled maintenance job, running the tree's three-phase
+  /// Body of a scheduled maintenance job, running the tree's four-phase
   /// protocol: PrepareMaintenance under the shard lock, ExecuteMaintenance
   /// (the merge/flush I/O) with the lock RELEASED, InstallMaintenance
-  /// under the lock again. Transient failures retry with exponential
-  /// backoff (Options::background_retry_base_ms, doubling, capped at 1s)
-  /// via the scheduler's deadline queue — no pool worker sleeps out the
-  /// backoff — latching the shard read-only once
+  /// (the in-memory swap and a manifest capture) under the lock again,
+  /// and PublishMaintenance (the manifest write and the unlinks it
+  /// allows) with the lock released. Transient failures retry with
+  /// exponential backoff (Options::background_retry_base_ms, doubling,
+  /// capped at 1s) via the scheduler's deadline queue — no pool worker
+  /// sleeps out the backoff — latching the shard read-only once
   /// Options::background_max_retries consecutive attempts failed.
   void RunMaintenanceUnit(Shard* shard);
 

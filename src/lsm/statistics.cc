@@ -68,7 +68,7 @@ void Statistics::Accumulate(const Statistics& shard) {
   wal_records += shard.wal_records;
   wal_bytes += shard.wal_bytes;
   wal_syncs += shard.wal_syncs;
-  wal_rewrites += shard.wal_rewrites;
+  wal_rotations += shard.wal_rotations;
   manifest_writes += shard.manifest_writes;
   recoveries += shard.recoveries;
   wal_replayed_entries += shard.wal_replayed_entries;
@@ -121,7 +121,7 @@ Statistics Statistics::Delta(const Statistics& b) const {
   d.wal_records = wal_records - b.wal_records;
   d.wal_bytes = wal_bytes - b.wal_bytes;
   d.wal_syncs = wal_syncs - b.wal_syncs;
-  d.wal_rewrites = wal_rewrites - b.wal_rewrites;
+  d.wal_rotations = wal_rotations - b.wal_rotations;
   d.manifest_writes = manifest_writes - b.manifest_writes;
   d.recoveries = recoveries - b.recoveries;
   d.wal_replayed_entries = wal_replayed_entries - b.wal_replayed_entries;
@@ -161,7 +161,7 @@ std::string Statistics::ToString() const {
       "  ops: gets=%llu ranges=%llu writes=%llu flushes=%llu "
       "compactions=%llu\n"
       "  reconfig: applies=%llu migration_steps=%llu\n"
-      "  wal: records=%llu bytes=%llu syncs=%llu rewrites=%llu\n"
+      "  wal: records=%llu bytes=%llu syncs=%llu rotations=%llu\n"
       "  durability: manifest_writes=%llu recoveries=%llu "
       "replayed=%llu recovery_pages=%llu\n"
       "  faults: io_retries=%llu checksum_failures=%llu "
@@ -194,7 +194,7 @@ std::string Statistics::ToString() const {
       static_cast<unsigned long long>(wal_records),
       static_cast<unsigned long long>(wal_bytes),
       static_cast<unsigned long long>(wal_syncs),
-      static_cast<unsigned long long>(wal_rewrites),
+      static_cast<unsigned long long>(wal_rotations),
       static_cast<unsigned long long>(manifest_writes),
       static_cast<unsigned long long>(recoveries),
       static_cast<unsigned long long>(wal_replayed_entries),
@@ -243,7 +243,7 @@ std::vector<std::pair<std::string, uint64_t>> Statistics::Named() const {
       {"wal_records", wal_records},
       {"wal_bytes", wal_bytes},
       {"wal_syncs", wal_syncs},
-      {"wal_rewrites", wal_rewrites},
+      {"wal_rotations", wal_rotations},
       {"manifest_writes", manifest_writes},
       {"recoveries", recoveries},
       {"wal_replayed_entries", wal_replayed_entries},

@@ -99,7 +99,7 @@ struct Statistics {
   RelaxedCounter wal_records = 0;         ///< records appended to the WAL
   RelaxedCounter wal_bytes = 0;           ///< bytes committed to the WAL
   RelaxedCounter wal_syncs = 0;           ///< fsyncs issued on the WAL
-  RelaxedCounter wal_rewrites = 0;        ///< checkpoint WAL rewrites (churn gauge)
+  RelaxedCounter wal_rotations = 0;       ///< WAL generations rotated to
   RelaxedCounter manifest_writes = 0;     ///< manifest versions published
   RelaxedCounter recoveries = 0;          ///< opens that recovered state
   RelaxedCounter wal_replayed_entries = 0;///< entries replayed at recovery

@@ -1,5 +1,8 @@
 #include "util/fault_injection.h"
 
+#include <chrono>
+#include <thread>
+
 namespace endure {
 
 std::atomic<FaultInjector*> FaultInjector::current_{nullptr};
@@ -55,20 +58,28 @@ void FaultInjector::DisarmAll() {
 }
 
 FaultOutcome FaultInjector::Evaluate(FaultSite site) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SiteState& st = sites_[static_cast<size_t>(site)];
-  if (!st.armed) return FaultOutcome{};
-  uint64_t index = st.seen++;
-  if (index < st.rule.skip) return FaultOutcome{};
-  if (st.rule.count != UINT64_MAX &&
-      index >= st.rule.skip + st.rule.count) {
-    return FaultOutcome{};
-  }
-  ++st.fired;
   FaultOutcome out;
-  out.err = st.rule.err;
-  out.short_io = st.rule.short_io;
-  out.corrupt = st.rule.corrupt;
+  uint32_t stall_ms = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    SiteState& st = sites_[static_cast<size_t>(site)];
+    if (!st.armed) return FaultOutcome{};
+    uint64_t index = st.seen++;
+    if (index < st.rule.skip) return FaultOutcome{};
+    if (st.rule.count != UINT64_MAX &&
+        index >= st.rule.skip + st.rule.count) {
+      return FaultOutcome{};
+    }
+    ++st.fired;
+    out.err = st.rule.err;
+    out.short_io = st.rule.short_io;
+    out.corrupt = st.rule.corrupt;
+    stall_ms = st.rule.stall_ms;
+  }
+  // Stall unlocked: other sites (and other threads at this one) proceed.
+  if (stall_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
+  }
   return out;
 }
 

@@ -4,10 +4,11 @@
 // (FilePageStore, WalWriter, WriteFileAtomic/SyncDir, aligned-buffer
 // allocation) consult the process-global injector before each operation;
 // tests arm per-site rules (skip N operations, then fire M times — or
-// forever — with a chosen errno, a short write, or a silent bit-flip) to
-// rehearse transient EIO, ENOSPC exhaustion, torn writes, failed fsyncs
-// and bit-rot without a faulty device. With no injector installed the
-// hook is a single relaxed atomic load — the production fast path.
+// forever — with a chosen errno, a short write, a silent bit-flip or a
+// stall) to rehearse transient EIO, ENOSPC exhaustion, torn writes,
+// failed fsyncs, bit-rot and slow devices without a faulty device. With
+// no injector installed the hook is a single relaxed atomic load — the
+// production fast path.
 //
 // Thread safety: Arm/Disarm/Evaluate synchronize internally, so faults
 // may fire on background maintenance and WAL-flusher threads. Install /
@@ -32,7 +33,7 @@ enum class FaultSite {
   kSegmentWrite,     ///< pwrite of one segment page
   kSegmentFsync,     ///< fsync at segment Seal
   kSegmentRead,      ///< pread of one segment page
-  kWalOpen,          ///< opening/reopening the WAL appender
+  kWalOpen,          ///< opening a WAL generation (open, rotation)
   kWalWrite,         ///< the WAL group-commit write()
   kWalFsync,         ///< WAL fsync (foreground or background flusher)
   kFileWrite,        ///< WriteFileAtomic's data write (manifest path)
@@ -74,6 +75,9 @@ class FaultInjector {
     int err = 0;            ///< errno to inject (0 = silent fault)
     bool short_io = false;  ///< tear the write
     bool corrupt = false;   ///< flip a bit
+    /// Sleep this long before the operation, then let it proceed (with
+    /// err = 0: a slow device, not a failing one).
+    uint32_t stall_ms = 0;
   };
 
   FaultInjector() = default;
@@ -91,7 +95,8 @@ class FaultInjector {
   void DisarmAll();
 
   /// Called by the instrumented operation: counts it against the site's
-  /// rule and returns the outcome to apply.
+  /// rule, sleeps out the rule's stall (if it fires), and returns the
+  /// outcome to apply.
   FaultOutcome Evaluate(FaultSite site);
 
   /// How many operations have fired a fault at `site` (test assertions).

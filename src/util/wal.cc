@@ -46,13 +46,29 @@ uint32_t Crc32(const void* data, size_t len) {
 
 // ---------------------------------------------------------------- writer --
 
-StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
-    const std::string& path, WalSyncMode mode,
-    std::function<void()> on_sync, WalFlushService* service) {
-  if (mode == WalSyncMode::kBackground && service == nullptr) {
-    return Status::InvalidArgument(
-        "wal " + path + ": background sync mode requires a WalFlushService");
+std::string WalPath(const std::string& dir, uint64_t gen) {
+  if (gen == 0) return dir + "/wal.log";
+  return dir + "/wal_" + std::to_string(gen) + ".log";
+}
+
+std::optional<uint64_t> ParseWalFileName(const std::string& name) {
+  if (name == "wal.log") return 0;
+  if (name.size() <= 8 || name.rfind("wal_", 0) != 0 ||
+      name.compare(name.size() - 4, 4, ".log") != 0) {
+    return std::nullopt;
   }
+  uint64_t gen = 0;
+  for (size_t i = 4; i < name.size() - 4; ++i) {
+    if (name[i] < '0' || name[i] > '9') return std::nullopt;
+    gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
+  }
+  return gen == 0 ? std::nullopt : std::optional<uint64_t>(gen);
+}
+
+namespace {
+
+/// Opens (creating) a log for appending, consulting the kWalOpen fault.
+StatusOr<int> OpenLog(const std::string& path) {
   if (const FaultOutcome f = CheckFault(FaultSite::kWalOpen); f.err != 0) {
     return Status::IOError("open wal " + path + ": " +
                            std::strerror(f.err) + " (injected)");
@@ -61,38 +77,56 @@ StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
   if (fd < 0) {
     return Status::IOError("open wal " + path + ": " + std::strerror(errno));
   }
-  auto writer = std::unique_ptr<WalWriter>(
-      new WalWriter(fd, mode, std::move(on_sync),
-                    mode == WalSyncMode::kBackground ? service : nullptr));
+  return fd;
+}
+
+}  // namespace
+
+WalWriter::LogFile::~LogFile() { ::close(fd); }
+
+StatusOr<std::unique_ptr<WalWriter>> WalWriter::Open(
+    const std::string& dir, uint64_t gen, WalSyncMode mode,
+    std::function<void()> on_sync, WalFlushService* service) {
+  if (mode == WalSyncMode::kBackground && service == nullptr) {
+    return Status::InvalidArgument(
+        "wal " + dir + ": background sync mode requires a WalFlushService");
+  }
+  StatusOr<int> fd = OpenLog(WalPath(dir, gen));
+  if (!fd.ok()) return fd.status();
+  auto writer = std::unique_ptr<WalWriter>(new WalWriter(
+      std::make_shared<LogFile>(*fd), dir, gen, mode, std::move(on_sync),
+      mode == WalSyncMode::kBackground ? service : nullptr));
   // Register only once construction is complete: the service thread may
   // sync the writer the moment it appears in the rotation.
   if (writer->service_ != nullptr) writer->service_->Register(writer.get());
   return writer;
 }
 
-WalWriter::WalWriter(int fd, WalSyncMode mode, std::function<void()> on_sync,
-                     WalFlushService* service)
-    : mode_(mode), on_sync_(std::move(on_sync)), service_(service), fd_(fd) {}
+WalWriter::WalWriter(std::shared_ptr<LogFile> file, std::string dir,
+                     uint64_t gen, WalSyncMode mode,
+                     std::function<void()> on_sync, WalFlushService* service)
+    : mode_(mode),
+      dir_(std::move(dir)),
+      on_sync_(std::move(on_sync)),
+      service_(service),
+      file_(std::move(file)),
+      gen_(gen) {}
 
 WalWriter::~WalWriter() {
   // Leave the sync rotation first: after Deregister returns, no service
   // pass can touch this writer, so the teardown below races nothing.
   if (service_ != nullptr) service_->Deregister(this);
-  if (!abandoned_) {
-    // A destructor cannot return a Status; a clean-close durability
-    // failure must still not pass silently (every other durability
-    // failure path in the engine is loud).
-    const Status commit = Commit();
-    std::unique_lock<std::mutex> lock(mu_);
-    const Status sync = commit.ok() ? SyncWithLock(lock) : commit;
-    if (!sync.ok()) {
-      std::fprintf(stderr, "wal: final flush failed: %s\n",
-                   sync.ToString().c_str());
-    }
+  if (abandoned_) return;
+  // A destructor cannot return a Status; a clean-close durability
+  // failure must still not pass silently (every other durability
+  // failure path in the engine is loud).
+  const Status commit = Commit();
+  std::unique_lock<std::mutex> lock(mu_);
+  const Status sync = commit.ok() ? SyncWithLock(lock) : commit;
+  if (!sync.ok()) {
+    std::fprintf(stderr, "wal: final flush failed: %s\n",
+                 sync.ToString().c_str());
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ::close(fd_);
-  fd_ = -1;
 }
 
 void WalWriter::Append(uint8_t type, const void* payload, uint32_t len) {
@@ -117,6 +151,7 @@ Status WalWriter::Commit() {
   // stay silent.
   if (!deferred_error_.ok()) return deferred_error_;
   if (pending_.empty()) return Status::OK();
+  const int fd = file_->fd;
   if (const FaultOutcome f = CheckFault(FaultSite::kWalWrite); f.fires()) {
     // Model a torn group commit: a prefix reaches the file (framing CRCs
     // make replay stop at the tear), the rest stays pending for a retry
@@ -126,14 +161,14 @@ Status WalWriter::Commit() {
       wrote = pending_.size() / 2;
       size_t woff = 0;
       while (woff < wrote) {
-        const ssize_t put =
-            ::write(fd_, pending_.data() + woff, wrote - woff);
+        const ssize_t put = ::write(fd, pending_.data() + woff, wrote - woff);
         if (put <= 0) break;
         woff += static_cast<size_t>(put);
       }
       wrote = woff;
     }
     bytes_committed_ += wrote;
+    file_->committed += wrote;
     pending_.erase(0, wrote);
     return Status::IOError(std::string("wal write: ") +
                            std::strerror(f.err != 0 ? f.err : EIO) +
@@ -142,12 +177,13 @@ Status WalWriter::Commit() {
   size_t off = 0;
   while (off < pending_.size()) {
     const ssize_t put =
-        ::write(fd_, pending_.data() + off, pending_.size() - off);
+        ::write(fd, pending_.data() + off, pending_.size() - off);
     if (put < 0) {
       // Trim what did reach the file so a retry (or the destructor's
       // final Commit) continues where the kernel stopped instead of
       // duplicating the prefix and misframing the log.
       bytes_committed_ += off;
+      file_->committed += off;
       pending_.erase(0, off);
       return Status::IOError(std::string("wal write: ") +
                              std::strerror(errno));
@@ -155,72 +191,100 @@ Status WalWriter::Commit() {
     off += static_cast<size_t>(put);
   }
   bytes_committed_ += pending_.size();
+  file_->committed += pending_.size();
   pending_.clear();
   if (mode_ == WalSyncMode::kPerBatch) return SyncWithLock(lock);
   return Status::OK();
 }
 
 Status WalWriter::SyncWithLock(std::unique_lock<std::mutex>& lock) {
-  if (fd_ < 0) return Status::OK();
-  // Nothing committed since the last fsync: skip the syscall (an idle
-  // background sync would otherwise fsync every interval forever,
+  // Capture this pass's work under mu_: a Rotate racing the unlocked
+  // fsyncs below only appends to retired_ and re-dirties the directory,
+  // which the next pass picks up. A clean writer skips the syscalls (an
+  // idle background sync would otherwise fsync every interval forever,
   // and wal_syncs would count elapsed time instead of sync work).
-  if (bytes_committed_ == synced_bytes_) return Status::OK();
-  const uint64_t target = bytes_committed_;
-  const int fd = fd_;
-  sync_in_flight_ = true;
+  const std::vector<std::shared_ptr<LogFile>> retired = retired_;
+  const std::shared_ptr<LogFile> current = file_;
+  const uint64_t target = current->committed;
+  const bool sync_current = target > current->synced;
+  const bool sync_dir = dir_dirty_;
+  if (retired.empty() && !sync_current && !sync_dir) return Status::OK();
+  dir_dirty_ = false;
   lock.unlock();  // never hold appenders hostage to device latency
-  int rc = ::fsync(fd);
-  if (rc == 0 && CheckFault(FaultSite::kWalFsync).err != 0) rc = -1;
+  // Retired logs first: their records precede the current log's.
+  bool ok = true;
+  size_t synced = 0;
+  const auto fsync_log = [&](const LogFile& log) {
+    ok = ::fsync(log.fd) == 0 && CheckFault(FaultSite::kWalFsync).err == 0;
+    if (ok) ++synced;
+  };
+  for (size_t i = 0; ok && i < retired.size(); ++i) fsync_log(*retired[i]);
+  if (ok && sync_current) fsync_log(*current);
+  Status dir_status;
+  if (ok && sync_dir) dir_status = SyncDir(dir_);
   lock.lock();
-  sync_in_flight_ = false;
-  cv_.notify_all();  // ReopenAfterRewrite may be waiting to swap the fd
-  if (rc != 0) {
-    deferred_error_ = Status::IOError("wal fsync");
-    return deferred_error_;
-  }
-  if (target > synced_bytes_) {
-    synced_bytes_ = target;
+  for (size_t i = 0; i < synced; ++i) {
     if (on_sync_) on_sync_();
   }
+  if (!ok || !dir_status.ok()) {
+    if (sync_dir) dir_dirty_ = true;
+    deferred_error_ = ok ? dir_status : Status::IOError("wal fsync");
+    return deferred_error_;
+  }
+  // The synced retired logs are done for good: drop (and so close) them.
+  std::erase_if(retired_, [&retired](const std::shared_ptr<LogFile>& log) {
+    return std::find(retired.begin(), retired.end(), log) != retired.end();
+  });
+  if (sync_current) current->synced = std::max(current->synced, target);
   return Status::OK();
 }
 
-Status WalWriter::ReopenAfterRewrite(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd < 0) {
-    return Status::IOError("reopen wal " + path + ": " +
-                           std::strerror(errno));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IOError("fstat wal " + path);
+Status WalWriter::Rotate() {
+  std::lock_guard<std::mutex> rotate_lock(rotate_mu_);
+  std::shared_ptr<LogFile> next = std::move(spare_);
+  const bool entry_synced = next != nullptr && spare_entry_synced_;
+  if (next == nullptr) {
+    StatusOr<int> fd = OpenLog(WalPath(dir_, gen_ + 1));
+    if (!fd.ok()) return fd.status();
+    next = std::make_shared<LogFile>(*fd);
   }
   std::unique_lock<std::mutex> lock(mu_);
-  // An fsync in flight on the old fd must finish before that fd is
-  // closed (a closed — possibly recycled — fd under a live fsync would
-  // sync the wrong file or fail spuriously).
-  cv_.wait(lock, [this] { return !sync_in_flight_; });
-  pending_.clear();  // staged records are covered by the snapshot
-  ::close(fd_);
-  fd_ = fd;
-  // The snapshot was fsynced before the rename, so the writer starts
-  // clean: the next background tick skips until new bytes commit —
-  // no double-sync of the already-durable snapshot.
-  bytes_committed_ = static_cast<uint64_t>(st.st_size);
-  synced_bytes_ = bytes_committed_;
+  ++gen_;
+  if (file_->committed > file_->synced) retired_.push_back(std::move(file_));
+  file_ = std::move(next);
+  if (!entry_synced) dir_dirty_ = true;
+  // kBackground leaves the retired tail and the new directory entry to
+  // the flush service's next pass, so the caller never waits on the
+  // device. kPerBatch (whose retired tail is already synced) and kNone
+  // have no background pass to defer to. Either way the switch stands: a
+  // failed sync latches and fails the next Commit, like any fsync error.
+  if (mode_ != WalSyncMode::kBackground) (void)SyncWithLock(lock);
   return Status::OK();
+}
+
+void WalWriter::PrepareRotation() {
+  std::shared_ptr<LogFile> spare;
+  {
+    // Opened under rotate_mu_, so the file is generation() + 1 — never
+    // one a Rotate already moved past (and a publication perhaps
+    // unlinked).
+    std::lock_guard<std::mutex> rotate_lock(rotate_mu_);
+    if (spare_ != nullptr) return;
+    StatusOr<int> fd = OpenLog(WalPath(dir_, gen_ + 1));
+    if (!fd.ok()) return;  // Rotate opens it itself (and reports failure)
+    spare_ = spare = std::make_shared<LogFile>(*fd);
+    spare_entry_synced_ = false;
+  }
+  // The directory fsync runs unlocked, so a Rotate never waits on it; one
+  // that takes the file first leaves its entry to the usual sync.
+  if (!SyncDir(dir_).ok()) return;
+  std::lock_guard<std::mutex> rotate_lock(rotate_mu_);
+  if (spare_ == spare) spare_entry_synced_ = true;
 }
 
 Status WalWriter::Sync() {
   std::unique_lock<std::mutex> lock(mu_);
   return SyncWithLock(lock);
-}
-
-Status WalWriter::deferred_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return deferred_error_;
 }
 
 void WalWriter::Abandon() {

@@ -1,11 +1,12 @@
 // Copyright (c) endure-cpp authors. Licensed under the MIT license.
 //
 // A minimal write-ahead log: CRC-framed, typed, variable-length records
-// appended to a single file, with group commit (records buffer in memory
-// until Commit() writes them in one syscall) and three durability levels
-// (WalSyncMode). The reader tolerates a torn tail — a crash mid-append
-// leaves a record whose CRC or length does not check out, and replay stops
-// cleanly at the last intact record, exactly the contract recovery needs.
+// appended to numbered log files (rotated to a fresh one on demand),
+// with group commit (records buffer in memory until Commit() writes them
+// in one syscall) and three durability levels (WalSyncMode). The reader
+// tolerates a torn tail — a crash mid-append leaves a record whose CRC
+// or length does not check out, and replay stops cleanly at the last
+// intact record, exactly the contract recovery needs.
 //
 // Record framing (little-endian on all supported targets):
 //
@@ -27,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,25 +44,42 @@ class WalFlushService;
 /// CRC-32 (ISO-HDLC polynomial, the zlib/gzip one) over `len` bytes.
 uint32_t Crc32(const void* data, size_t len);
 
-/// Appends framed records to a log file. Not internally thread-safe for
-/// Append/Commit — callers serialize them (the engine holds the shard
-/// lock) — but background syncs (a WalFlushService pass) synchronize
-/// internally, so they may run concurrently with appends.
+/// Path of log generation `gen` in `dir`: `wal_<gen>.log`. Generation 0
+/// is the single `wal.log` logs were before generations existed, so such
+/// a directory reads as one more (the oldest) generation.
+std::string WalPath(const std::string& dir, uint64_t gen);
+
+/// The generation a log file name denotes, or nullopt for any other name.
+std::optional<uint64_t> ParseWalFileName(const std::string& name);
+
+/// Appends framed records to a log made of numbered generation files in
+/// one directory (WalPath). Not internally thread-safe for
+/// Append/Commit/Rotate — callers serialize them (the engine holds the
+/// shard lock) — but background syncs (a WalFlushService pass) and
+/// PrepareRotation synchronize internally, so they may run concurrently
+/// with appends.
+///
+/// Rotate() moves appends to the next generation; the file it leaves (a
+/// *retired* log) is only fsynced and closed, never appended to again.
+/// The engine rotates once per write buffer, so a flushed buffer's log
+/// is retired whole by unlinking it.
 class WalWriter {
  public:
-  /// Opens `path` for appending (created if absent). `on_sync` (optional)
-  /// is invoked after every fsync, including those issued by background
-  /// flushing — bump a relaxed counter there, nothing heavier. Under
-  /// WalSyncMode::kBackground `service` drives this writer's periodic
-  /// syncs (the writer registers itself) and is required: without one
-  /// the open fails with InvalidArgument. Other modes ignore `service`.
+  /// Opens generation `gen` in `dir` for appending (created if absent).
+  /// `on_sync` (optional) is invoked after every log-file fsync,
+  /// including those issued by background flushing — bump a relaxed
+  /// counter there, nothing heavier. Under WalSyncMode::kBackground
+  /// `service` drives this writer's periodic syncs (the writer registers
+  /// itself) and is required: without one the open fails with
+  /// InvalidArgument. Other modes ignore `service`.
   static StatusOr<std::unique_ptr<WalWriter>> Open(
-      const std::string& path, WalSyncMode mode,
+      const std::string& dir, uint64_t gen, WalSyncMode mode,
       std::function<void()> on_sync = nullptr,
       WalFlushService* service = nullptr);
 
   /// Leaves the flush service's rotation, flushes and (unless
-  /// abandoned) syncs outstanding records, then closes the file.
+  /// abandoned) syncs outstanding records — retired logs and the
+  /// directory included — then closes the files.
   ~WalWriter();
   ENDURE_DISALLOW_COPY_AND_ASSIGN(WalWriter);
 
@@ -74,45 +93,64 @@ class WalWriter {
   /// Forces an fsync of everything committed so far.
   Status Sync();
 
-  /// Redirects the writer to the freshly rewritten log at `path` after a
-  /// checkpoint: drops staged-but-uncommitted records (the snapshot that
-  /// replaced the log covers them) and swaps the appender fd under the
-  /// lock, while the background sync state — the flush-service
-  /// registration, and with it the interval phase — carries over
-  /// untouched. Keeping the writer alive across rewrites is what
-  /// guarantees a checkpoint can neither postpone the next background
-  /// sync by a full fresh interval nor re-sync the already-synced
-  /// snapshot. The new log must already be fsynced (the checkpoint
-  /// protocol syncs it before the rename), so the writer restarts clean.
-  Status ReopenAfterRewrite(const std::string& path);
+  /// The generation appends go to.
+  uint64_t generation() const { return gen_; }
 
-  /// Bytes handed to write() so far (framing included). Reset to the
-  /// snapshot size by ReopenAfterRewrite.
+  /// Switches appends to generation() + 1 (which must hold no records),
+  /// using the file PrepareRotation created if there is one — then no
+  /// syscall runs here under kBackground. Staged-but-uncommitted records
+  /// carry over and commit into the new file. The old file's unsynced
+  /// tail and the new file's directory entry (unless PrepareRotation
+  /// synced it) still need an fsync: under kBackground the flush
+  /// service's next pass does both (the caller never waits on the
+  /// device); the other modes do them here, and a failure there latches
+  /// like any fsync error (the next Commit fails). Non-OK only when the
+  /// new file cannot be opened: then nothing changed and appends continue
+  /// in the old file.
+  Status Rotate();
+
+  /// Creates generation() + 1's file and fsyncs the directory ahead of
+  /// the next Rotate, so the caller that rotates — typically holding a
+  /// lock writers wait on — pays neither. Best effort (a failure leaves
+  /// Rotate to open the file itself) and a no-op when already prepared.
+  /// Safe to call from any thread concurrently with the writer's users.
+  void PrepareRotation();
+
+  /// Bytes handed to write() so far, across every file (framing
+  /// included).
   uint64_t bytes_committed() const { return bytes_committed_; }
 
-  /// First fsync failure latched by a background sync (OK when
-  /// none). Commit() also surfaces it; this is for owners about to
-  /// retire the writer without another commit (e.g. checkpointing).
-  Status deferred_error() const;
-
   /// Drops staged-but-uncommitted records and suppresses the final
-  /// flush/sync in the destructor. Checkpointing uses this when the
-  /// records are covered by the snapshot replacing the log; kill-point
-  /// tests use it to simulate the process dying with the page cache
-  /// unsynced.
+  /// flush/sync in the destructor. Kill-point tests use it to simulate
+  /// the process dying with the page cache unsynced.
   void Abandon();
 
  private:
-  WalWriter(int fd, WalSyncMode mode, std::function<void()> on_sync,
+  /// One open log file. Shared so a sync can fsync it with mu_ released
+  /// while a Rotate retires it: the fd closes when the last holder lets
+  /// go, never under a live fsync.
+  struct LogFile {
+    explicit LogFile(int fd) : fd(fd) {}
+    ~LogFile();
+    ENDURE_DISALLOW_COPY_AND_ASSIGN(LogFile);
+    const int fd;
+    uint64_t committed = 0;  ///< bytes written to this file (under mu_)
+    uint64_t synced = 0;     ///< `committed` at its last fsync (under mu_)
+  };
+
+  WalWriter(std::shared_ptr<LogFile> file, std::string dir, uint64_t gen,
+            WalSyncMode mode, std::function<void()> on_sync,
             WalFlushService* service);
 
-  /// fsyncs everything committed so far. Requires `lock` held on mu_;
-  /// releases it around the fsync itself so a periodic background sync
-  /// never stalls a foreground Commit behind device latency (write()
-  /// and fsync() on one fd are safe concurrently).
+  /// fsyncs every retired log, the current log if dirty and the
+  /// directory if a file was created since its last sync. Requires `lock`
+  /// held on mu_; releases it around the fsyncs themselves so a periodic
+  /// background sync never stalls a foreground Commit behind device
+  /// latency (write() and fsync() on one fd are safe concurrently).
   Status SyncWithLock(std::unique_lock<std::mutex>& lock);
 
   const WalSyncMode mode_;
+  const std::string dir_;  ///< directory holding the logs (for its fsync)
   std::function<void()> on_sync_;
   /// Flush service this writer is registered with (null unless
   /// kBackground). The service must outlive the writer; the destructor
@@ -122,22 +160,26 @@ class WalWriter {
   uint64_t bytes_committed_ = 0;
   bool abandoned_ = false;
 
-  /// Guards fd_ against background syncs (write/fsync/close ordering).
+  /// Guards the file set and sync state against background syncs.
   mutable std::mutex mu_;
-  /// First fsync failure seen by a background sync (under mu_);
-  /// surfaced by the next Commit so a dying device cannot silently
-  /// degrade kBackground to kNone.
+  /// First fsync failure (under mu_); surfaced by every later Commit so a
+  /// dying device cannot silently degrade kBackground to kNone.
   Status deferred_error_;
-  /// bytes_committed_ at the last successful fsync (under mu_): a clean
-  /// file skips the syscall entirely.
-  uint64_t synced_bytes_ = 0;
-  int fd_;
-  /// True while a sync has mu_ dropped around its fsync (under mu_);
-  /// ReopenAfterRewrite waits it out so the fd it closes can never be
-  /// the one an in-flight fsync still references.
-  bool sync_in_flight_ = false;
-  /// Signalled when sync_in_flight_ clears.
-  std::condition_variable cv_;
+  std::shared_ptr<LogFile> file_;  ///< the log appends go to (under mu_)
+  /// Rotated-away logs with unsynced bytes, oldest first (under mu_).
+  std::vector<std::shared_ptr<LogFile>> retired_;
+  /// A log was created since the directory's last fsync (under mu_).
+  bool dir_dirty_ = true;
+
+  /// Orders Rotate against PrepareRotation (taken before mu_, never
+  /// after, and never held across an fsync): a prepared file is always
+  /// generation() + 1.
+  std::mutex rotate_mu_;
+  uint64_t gen_;  ///< written by Rotate under rotate_mu_
+  /// generation() + 1's file, created by PrepareRotation (under
+  /// rotate_mu_), and whether its directory entry is already durable.
+  std::shared_ptr<LogFile> spare_;
+  bool spare_entry_synced_ = false;
 };
 
 /// Drives the periodic fsyncs of any number of WalWriters from a single

@@ -78,6 +78,86 @@ TEST(BlockCacheTest, EraseSegmentDropsAllItsPages) {
   EXPECT_EQ(cache.usage(), 8 * 4 * sizeof(Entry));
 }
 
+TEST(BlockCacheTest, EraseSegmentReachesEveryCacheShard) {
+  // 64 pages per segment hash across all 16 cache shards: the erase must
+  // find the segment's pages in each of them, and touch nothing else —
+  // not the other segment, not the same segment id of another store.
+  BlockCache cache(1 << 22, /*num_shards=*/16);
+  const uint64_t store = cache.RegisterStore();
+  const uint64_t other_store = cache.RegisterStore();
+  const std::vector<Entry> page = MakePage(0, 4);
+  for (uint64_t p = 0; p < 64; ++p) {
+    cache.Insert(store, /*segment=*/3, p, page.data(), 4, nullptr);
+    cache.Insert(store, /*segment=*/4, p, page.data(), 4, nullptr);
+    cache.Insert(other_store, /*segment=*/3, p, page.data(), 4, nullptr);
+  }
+  cache.EraseSegment(store, 3);
+  PageBuffer buf;
+  for (uint64_t p = 0; p < 64; ++p) {
+    EXPECT_FALSE(cache.Lookup(store, 3, p, &buf)) << p;
+    EXPECT_TRUE(cache.Lookup(store, 4, p, &buf)) << p;
+    EXPECT_TRUE(cache.Lookup(other_store, 3, p, &buf)) << p;
+  }
+  EXPECT_EQ(cache.usage(), 2 * 64 * 4 * sizeof(Entry));
+  cache.EraseSegment(store, 3);  // idempotent
+  EXPECT_EQ(cache.usage(), 2 * 64 * 4 * sizeof(Entry));
+}
+
+TEST(BlockCacheTest, EraseAfterEvictionChurnKeepsUsageExact) {
+  // Evictions remove slots from their segment's list while other
+  // segments keep inserting into recycled slots; an erase afterwards must
+  // free exactly the segment's surviving pages.
+  constexpr uint64_t kPageBytes = 4 * sizeof(Entry);
+  BlockCache cache(/*capacity_bytes=*/4 * 24 * kPageBytes, /*num_shards=*/4);
+  const uint64_t store = cache.RegisterStore();
+  const std::vector<Entry> page = MakePage(0, 4);
+  Statistics stats;
+  for (uint64_t p = 0; p < 200; ++p) {
+    cache.Insert(store, /*segment=*/p % 3, p, page.data(), 4, &stats);
+  }
+  ASSERT_GT(stats.cache_evictions.load(), 0u);
+  const auto resident = [&](SegmentId segment) {
+    PageBuffer buf;
+    uint64_t hits = 0;
+    for (uint64_t p = 0; p < 200; ++p) {
+      if (p % 3 == segment && cache.Lookup(store, segment, p, &buf)) ++hits;
+    }
+    return hits;
+  };
+  const uint64_t kept = resident(0) + resident(2);
+  ASSERT_GT(resident(1), 0u);
+  cache.EraseSegment(store, 1);
+  EXPECT_EQ(resident(1), 0u);
+  EXPECT_EQ(resident(0) + resident(2), kept);
+  EXPECT_EQ(cache.usage(), kept * kPageBytes);
+  // The freed slots are reusable: a refill evicts and admits as usual.
+  for (uint64_t p = 200; p < 260; ++p) {
+    cache.Insert(store, /*segment=*/1, p, page.data(), 4, &stats);
+  }
+  EXPECT_LE(cache.usage(), cache.capacity());
+}
+
+TEST(BlockCacheTest, RecycledSegmentIdNeverServesStalePages) {
+  BlockCache cache(1 << 20);
+  const uint64_t store = cache.RegisterStore();
+  const std::vector<Entry> old_page = MakePage(0, 4);
+  for (uint64_t p = 0; p < 8; ++p) {
+    cache.Insert(store, /*segment=*/5, p, old_page.data(), 4, nullptr);
+  }
+  cache.EraseSegment(store, 5);
+  // The id comes back for a new, shorter segment with other contents.
+  const std::vector<Entry> new_page = MakePage(500, 2);
+  cache.Insert(store, 5, 0, new_page.data(), 2, nullptr);
+  PageBuffer buf;
+  ASSERT_TRUE(cache.Lookup(store, 5, 0, &buf));
+  ASSERT_EQ(buf.size(), 2u);
+  EXPECT_EQ(buf[0].key, 500u);
+  for (uint64_t p = 1; p < 8; ++p) {
+    EXPECT_FALSE(cache.Lookup(store, 5, p, &buf)) << p;
+  }
+  EXPECT_EQ(cache.usage(), 2 * sizeof(Entry));
+}
+
 TEST(BlockCacheTest, EvictsUnderCapacityPressure) {
   // Single cache shard so the clock behaviour is deterministic: capacity
   // for ~4 pages, insert 16, usage must stay bounded and evictions

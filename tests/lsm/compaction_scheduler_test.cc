@@ -472,6 +472,46 @@ TEST_F(MaintenanceProtocolTest, StepwiseCascadeConvergesAndConforms) {
   }
 }
 
+TEST_F(MaintenanceProtocolTest, PutReturnsWhileFlushInstallPublishes) {
+  // A durable shard's flush install publishes its manifest after
+  // releasing the shard lock: with the manifest fsync stalled, a write
+  // issued mid-publication must not wait the stall out.
+  ScopedFaultInjector fi;
+  Options o = TreeOpts();
+  o.backend = StorageBackend::kFile;
+  o.storage_dir = "/tmp/endure_publish_stall_test";
+  o.durability = true;
+  // The served mode; it also keeps device latency out of the timed Put
+  // (no fsync on its commit).
+  o.wal_sync_mode = WalSyncMode::kBackground;
+  o.maintenance_threads = 1;
+  std::filesystem::remove_all(o.storage_dir);
+  auto db = std::move(ShardedDB::Open(o)).value();
+  constexpr uint32_t kStallMs = 200;
+  fi->Arm(FaultSite::kFileFsync, {.count = UINT64_MAX, .stall_ms = kStallMs});
+
+  // One buffer and a bit: the full buffer seals, its flush unit installs
+  // and then stalls publishing.
+  for (Key k = 0; k < 17; ++k) ASSERT_TRUE(db->Put(k, k + 1).ok());
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (fi->seen(FaultSite::kFileFsync) == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(fi->seen(FaultSite::kFileFsync), 1u);
+
+  const auto start = Clock::now();
+  ASSERT_TRUE(db->Put(1000, 7).ok());
+  EXPECT_LT(MsSince(start), kStallMs / 2)
+      << "a Put waited on the manifest fsync under the shard lock";
+  for (Key k = 0; k < 17; ++k) {
+    ASSERT_EQ(db->Get(k).value_or(0), k + 1) << k;
+  }
+  ASSERT_EQ(db->Get(1000).value_or(0), 7u);
+  db->WaitForMaintenance();
+  EXPECT_GE(db->TotalStats().flushes.load(), 1u);
+  EXPECT_TRUE(db->Health().ok());
+}
+
 // ------------------------------------------------- starvation regression --
 
 TEST(CompactionSchedulerStarvationTest,

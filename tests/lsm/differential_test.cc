@@ -8,7 +8,7 @@
 //
 // The kill-point harness at the bottom additionally drops the process
 // state (CrashForTesting: WAL abandoned mid-buffer, no shutdown
-// checkpoint) at a seed-derived random op, reopens the durable
+// sync) at a seed-derived random op, reopens the durable
 // deployment, and verifies it against the oracle's state at the kill
 // point — under WalSyncMode::kPerBatch every acknowledged write must
 // survive — then keeps driving the same trace on the recovered instance.
@@ -272,7 +272,7 @@ TEST_P(DifferentialShapeTest, ShardedDbMatchesOracleAcrossLiveReconfigs) {
 }
 
 /// Kill-point recovery differential: run a prefix of the trace against a
-/// durable deployment, kill it (no shutdown checkpoint, WAL buffer
+/// durable deployment, kill it (no shutdown sync, WAL buffer
 /// dropped), reopen the directory, verify the recovered state equals the
 /// oracle at the kill point (kPerBatch: zero acked-write loss), then
 /// drive the rest of the trace on the recovered instance and verify the

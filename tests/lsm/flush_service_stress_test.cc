@@ -1,10 +1,10 @@
 // Shared WAL-flush-service stress (docs/durability.md): one
 // WalFlushService thread drives every shard's background fsyncs while
 // writer threads group-commit across shards and foreground Flushes keep
-// checkpoints (WAL rewrites, i.e. appender fd swaps under the service's
-// feet) permanently in flight. Run under ThreadSanitizer in CI; the
-// assertions double as an acked-write-loss check across a final
-// kill+reopen.
+// WAL rotations (appender file swaps under the service's feet) and
+// manifest publications permanently in flight. Run under ThreadSanitizer
+// in CI; the assertions double as an acked-write-loss check across a
+// final kill+reopen.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ TEST(SharedFlusherStressTest, ConcurrentPutBatchWithCheckpointsInFlight) {
 
   Options o;
   o.size_ratio = 4;
-  o.buffer_entries = 128;  // small buffer: flushes (checkpoints) constantly
+  o.buffer_entries = 128;  // small buffer: flushes (rotations) constantly
   o.entries_per_page = 4;
   o.backend = StorageBackend::kFile;
   o.storage_dir = dir;
@@ -82,7 +82,7 @@ TEST(SharedFlusherStressTest, ConcurrentPutBatchWithCheckpointsInFlight) {
     db->CrashForTesting();
   }
   // ...and still there after a kill+reopen (committed write()s survive a
-  // process death; the service-synced WAL plus checkpoints cover them).
+  // process death; the service-synced WAL plus manifests cover them).
   auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
   for (int t = 0; t < kWriters; ++t) {

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -19,7 +21,10 @@
 #include "lsm/manifest.h"
 #include "lsm/page_store.h"
 #include "lsm/sharded_db.h"
+#include "testing/reference_model.h"
 #include "util/env.h"
+#include "util/fault_injection.h"
+#include "util/wal.h"
 
 namespace endure::lsm {
 namespace {
@@ -655,24 +660,23 @@ TEST(RecoveryTest, SingleFlushServiceThreadRegardlessOfShardCount) {
       << "the flush service must run exactly one thread for 8 shards";
 }
 
-// Regression for the per-checkpoint flusher churn: a WAL rewrite must
-// not tear down and recreate background-sync state. Before the fix,
-// every checkpoint replaced the writer (and its interval clock), so a
-// sub-interval checkpoint cadence postponed the background fsync
-// forever; now the appender survives the rewrite and the flush
-// service's tick clock keeps running.
-TEST(RecoveryTest, CheckpointChurnCannotStarveBackgroundSyncs) {
+// Regression for flusher churn: a WAL switch must not tear down and
+// recreate background-sync state. A writer recreated per switch would
+// restart its interval clock, so a sub-interval switch cadence would
+// postpone the background fsync forever; the writer survives rotations
+// and the flush service's tick clock keeps running.
+TEST(RecoveryTest, RotationChurnCannotStarveBackgroundSyncs) {
   Options o = DurableOpts(FreshDir("churn"));
   o.wal_sync_mode = WalSyncMode::kBackground;
   o.wal_sync_interval_ms = 25;
   auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok());
-  // Checkpoint every few milliseconds for several intervals: each Put
+  // Rotate every few milliseconds for several intervals: each Put
   // dirties the WAL and stays unsynced across the sleep, each Flush
-  // rewrites the log. With the old recreate-per-checkpoint writer the
-  // interval clock restarted at every Flush and no background fsync
-  // could ever fire; with the surviving writer the global tick lands in
-  // the dirty windows.
+  // rotates to a fresh generation (and retires the old one). With a
+  // recreate-per-switch writer the interval clock would restart at every
+  // Flush and no background fsync could ever fire; with the surviving
+  // writer the global tick lands in the dirty windows.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(400);
   Key k = 0;
@@ -681,9 +685,9 @@ TEST(RecoveryTest, CheckpointChurnCannotStarveBackgroundSyncs) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     (*db)->Flush();
   }
-  EXPECT_GT((*db)->TotalStats().wal_rewrites.load(), 2u);
+  EXPECT_GT((*db)->TotalStats().wal_rotations.load(), 2u);
   EXPECT_GT((*db)->TotalStats().wal_syncs.load(), 0u)
-      << "background syncs starved by checkpoint churn";
+      << "background syncs starved by rotation churn";
   // And no busy double-sync either: a clean WAL stays untouched.
   (*db)->Put(k++, k);
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -693,15 +697,15 @@ TEST(RecoveryTest, CheckpointChurnCannotStarveBackgroundSyncs) {
       << "idle WAL re-synced every interval";
 }
 
-TEST(RecoveryTest, KillBetweenCheckpointAndFirstPostCheckpointSync) {
-  Options o = DurableOpts(FreshDir("kill_after_checkpoint"));
+TEST(RecoveryTest, KillBetweenRotationAndFirstPostRotationSync) {
+  Options o = DurableOpts(FreshDir("kill_after_rotation"));
   o.wal_sync_mode = WalSyncMode::kBackground;
   o.wal_sync_interval_ms = 60000;  // no background tick fires in-test
   {
     auto db = ShardedDB::Open(o);
     ASSERT_TRUE(db.ok());
     for (Key k = 0; k < 300; ++k) (*db)->Put(k, k + 1);
-    (*db)->Flush();          // checkpoint: manifest + WAL rewrite
+    (*db)->Flush();          // rotate, flush, publish, retire the old log
     (*db)->Put(1000, 1001);  // committed to the new log, never fsynced
     (*db)->CrashForTesting();
   }
@@ -710,10 +714,299 @@ TEST(RecoveryTest, KillBetweenCheckpointAndFirstPostCheckpointSync) {
   for (Key k = 0; k < 300; ++k) {
     ASSERT_EQ((*db)->Get(k).value_or(0), k + 1);
   }
-  // The post-checkpoint write survived the kill (process death keeps
-  // the page cache) — proving the rewrite left a well-framed log that
-  // the redirected appender continued correctly.
+  // The post-rotation write survived the kill (process death keeps the
+  // page cache) — proving the rotation left a well-framed log in a
+  // generation recovery replays.
   EXPECT_EQ((*db)->Get(1000).value_or(0), 1001u);
+}
+
+// ------------------------------------------------ publication windows --
+// Maintenance installs in memory under the shard lock and publishes the
+// manifest after releasing it; a flush retires its WAL generations only
+// once that manifest is durable. The cases below crash inside each
+// window and compare the reopened deployment with the reference oracle.
+
+/// Every key in [0, domain) reads back as the oracle has it, and a full
+/// scan returns exactly the oracle's entries.
+template <typename Engine>
+void ExpectMatchesOracle(Engine* engine, const testing::ReferenceModel& oracle,
+                         Key domain) {
+  for (Key k = 0; k < domain; ++k) {
+    ASSERT_EQ(engine->Get(k), oracle.Get(k)) << "key " << k;
+  }
+  const auto scanned = engine->Scan(0, ~0ull);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(scanned->size(), oracle.size());
+}
+
+TEST(RecoveryTest, KillAfterInstallWhosePublishFailedLosesNothing) {
+  const std::string dir = FreshDir("publish_failed");
+  Options o = DurableOpts(dir);
+  o.background_maintenance = true;
+  o.background_max_retries = 1000;  // keep retrying; never latch in-test
+  testing::ReferenceModel oracle;
+  {
+    ScopedFaultInjector fi;
+    auto db = ShardedDB::Open(o);
+    ASSERT_TRUE(db.ok());
+    // Every manifest rename fails from here on: flush and compaction
+    // installs still land in memory, but the manifest on disk stays the
+    // one the open published.
+    fi->Arm(FaultSite::kFileRename, {.count = UINT64_MAX, .err = EIO});
+    for (Key k = 0; k < 600; ++k) {
+      ASSERT_TRUE((*db)->Put(k % 250, k).ok());
+      oracle.Put(k % 250, k);
+      if (k % 9 == 0) {
+        ASSERT_TRUE((*db)->Delete(k % 250 / 2).ok());
+        oracle.Delete(k % 250 / 2);
+      }
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((*db)->TotalStats().flushes.load() < 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GE((*db)->TotalStats().flushes.load(), 3u);
+    ASSERT_GE(fi->fired(FaultSite::kFileRename), 1u);
+    EXPECT_TRUE((*db)->Health().ok());
+    // The crash window: runs resident in memory, none in the manifest.
+    auto on_disk = ReadManifest(dir + "/shard_0/" + kManifestFileName);
+    ASSERT_TRUE(on_disk.ok());
+    uint64_t runs_on_disk = 0;
+    for (const auto& level : on_disk->levels) runs_on_disk += level.size();
+    EXPECT_EQ(runs_on_disk, 0u);
+    EXPECT_GT((*db)->Progress().runs_total, 0u);
+    (*db)->CrashForTesting();
+  }
+  auto db = ShardedDB::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ExpectMatchesOracle(db->get(), oracle, 250);
+}
+
+TEST(RecoveryTest, KillBeforeRetiredWalUnlinkReplaysOnlyLiveGenerations) {
+  const std::string dir = FreshDir("retired_wal_left");
+  Options o = DurableOpts(dir);
+  o.background_maintenance = true;  // seal, then flush by hand below
+  const Key n = static_cast<Key>(o.buffer_entries);
+  testing::ReferenceModel oracle;
+  std::map<std::string, std::string> retired;  // path -> bytes
+  {
+    auto t = OpenDurableTree(o);
+    const auto flush_sealed = [&] {
+      ASSERT_TRUE(t->tree->HasSealedMemtable());
+      MaintenanceUnit unit = t->tree->PrepareMaintenance();
+      ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
+      ASSERT_TRUE(t->tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+      ASSERT_TRUE(t->tree->InstallMaintenance(&unit).ok());
+      // Installed in memory; the generations the sealed buffer logged to
+      // are still on disk until the manifest lands.
+      for (uint64_t gen = 1; gen < 8; ++gen) {
+        const std::string path = WalPath(dir, gen);
+        if (FileExists(path) && retired.count(path) == 0) {
+          retired[path] = ReadFileToString(path).value();
+        }
+      }
+      ASSERT_TRUE(t->tree->PublishMaintenance(&unit).ok());
+    };
+    // Two generations of the same keys: the first version is flushed and
+    // its log retired, then the second version too.
+    for (int version = 1; version <= 2; ++version) {
+      for (Key k = 0; k <= n; ++k) {
+        ASSERT_TRUE(t->tree->Put(k, k * 10 + version).ok());
+        oracle.Put(k, k * 10 + version);
+      }
+      flush_sealed();
+    }
+    t->tree->CrashForTesting();
+  }
+  // The crash landed after the manifest was durable but before the
+  // retired generations were unlinked: put them back.
+  size_t restored = 0;
+  for (const auto& [path, bytes] : retired) {
+    if (FileExists(path)) continue;  // still live
+    ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+    ++restored;
+  }
+  ASSERT_GE(restored, 2u);
+  auto t = OpenDurableTree(o);
+  // Replaying a retired generation would resurrect the first version of
+  // every key over the flushed second one.
+  ExpectMatchesOracle(t->tree.get(), oracle, n + 1);
+  for (const auto& [path, bytes] : retired) {
+    const std::optional<uint64_t> gen =
+        ParseWalFileName(path.substr(dir.size() + 1));
+    ASSERT_TRUE(gen.has_value());
+    if (*gen < t->tree->ToManifest().wal_min_gen) {
+      EXPECT_FALSE(FileExists(path)) << path << " survived the reopen";
+    }
+  }
+}
+
+TEST(RecoveryTest, StalePublicationNeverRollsTheManifestBack) {
+  // Two flush installs capture manifests in order; their publications
+  // race and land in the opposite order. The older capture must not
+  // replace the newer manifest: the newer one already retired the
+  // generation holding the second buffer's records.
+  const std::string dir = FreshDir("stale_publication");
+  Options o = DurableOpts(dir);
+  o.background_maintenance = true;  // flush units driven by hand below
+  const Key n = static_cast<Key>(o.buffer_entries);
+  testing::ReferenceModel oracle;
+  {
+    auto t = OpenDurableTree(o);
+    const auto install_flush = [&](Key base) -> MaintenanceUnit {
+      for (Key k = 0; k <= n; ++k) {
+        EXPECT_TRUE(t->tree->Put(base + k, base + k + 1).ok());
+        oracle.Put(base + k, base + k + 1);
+      }
+      MaintenanceUnit unit = t->tree->PrepareMaintenance();
+      EXPECT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
+      EXPECT_TRUE(t->tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+      EXPECT_TRUE(t->tree->InstallMaintenance(&unit).ok());
+      EXPECT_TRUE(unit.publication.has_value());
+      return unit;
+    };
+    MaintenanceUnit first = install_flush(0);
+    MaintenanceUnit second = install_flush(1000);
+    ASSERT_TRUE(t->tree->PublishMaintenance(&second).ok());
+    ASSERT_TRUE(t->tree->PublishMaintenance(&first).ok());
+    const auto on_disk = ReadManifest(dir + "/" + kManifestFileName);
+    ASSERT_TRUE(on_disk.ok());
+    ASSERT_FALSE(on_disk->levels.empty());
+    EXPECT_EQ(on_disk->levels[0].size(), 2u) << "manifest rolled back";
+    t->tree->CrashForTesting();
+  }
+  auto t = OpenDurableTree(o);
+  for (Key k = 0; k <= n; ++k) {
+    ASSERT_EQ(t->tree->Get(k), oracle.Get(k)) << k;
+    ASSERT_EQ(t->tree->Get(1000 + k), oracle.Get(1000 + k)) << 1000 + k;
+  }
+}
+
+TEST(RecoveryTest, WalOpenFailureAtSealRotationLosesNoAckedWrite) {
+  // Background mode rotates when a full buffer seals; foreground mode
+  // when the inline flush runs. Once the next generation cannot be
+  // created — neither ahead of time nor by the rotation itself — the
+  // write that needed it is refused and the shard latches, while
+  // everything acknowledged stays in the old generation.
+  for (const bool background : {true, false}) {
+    SCOPED_TRACE(background ? "background" : "foreground");
+    const std::string dir =
+        FreshDir(std::string("rotation_open_") + (background ? "bg" : "fg"));
+    Options o = DurableOpts(dir);
+    o.background_maintenance = background;
+    testing::ReferenceModel acked;
+    std::optional<std::pair<Key, Value>> refused;
+    {
+      ScopedFaultInjector fi;
+      auto db = ShardedDB::Open(o);
+      ASSERT_TRUE(db.ok());
+      fi->Arm(FaultSite::kWalOpen, {.count = UINT64_MAX, .err = EMFILE});
+      for (Key k = 0; k < 3 * o.buffer_entries && !refused; ++k) {
+        if ((*db)->Put(k, k + 3).ok()) {
+          acked.Put(k, k + 3);
+        } else {
+          refused.emplace(k, k + 3);
+        }
+      }
+      ASSERT_TRUE(refused.has_value()) << "no rotation was attempted";
+      EXPECT_GE(fi->fired(FaultSite::kWalOpen), 1u);
+      EXPECT_FALSE((*db)->Health().ok());
+      EXPECT_FALSE((*db)->Put(999, 1).ok());
+      fi->DisarmAll();
+      (*db)->CrashForTesting();
+    }
+    auto db = ShardedDB::Open(o);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->Health().ok());
+    // The refused write was applied but never logged: gone after a
+    // crash. Everything acknowledged is back.
+    EXPECT_FALSE((*db)->Get(refused->first).has_value());
+    ExpectMatchesOracle(db->get(), acked, 3 * o.buffer_entries);
+    ASSERT_TRUE((*db)->Put(refused->first, refused->second).ok());
+  }
+}
+
+/// Rewrites a format-2 manifest as format 1: drops `wal_min_gen` (the
+/// u64 at payload offset 61, after the cursors) and re-frames the blob.
+void DowngradeManifestToFormatOne(const std::string& path) {
+  const std::string blob = ReadFileToString(path).value();
+  std::string payload = blob.substr(16);
+  payload.erase(61, 8);
+  const uint32_t version = 1;
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::string out = blob.substr(0, 4);
+  out.append(reinterpret_cast<const char*>(&version), 4);
+  out.append(reinterpret_cast<const char*>(&crc), 4);
+  out.append(reinterpret_cast<const char*>(&len), 4);
+  ASSERT_TRUE(WriteFileAtomic(path, out + payload).ok());
+}
+
+TEST(RecoveryTest, FormatOneDirectoryRecoversItsSingleLog) {
+  // A directory written before WAL generations existed: format-1
+  // manifests and one wal.log per shard. It must open with every
+  // acknowledged write, then leave the single log behind once a flush
+  // retires it.
+  const std::string dir = FreshDir("format_one");
+  const Options o = DurableOpts(dir);
+  testing::ReferenceModel oracle;
+  {
+    auto db = ShardedDB::Open(o);
+    ASSERT_TRUE(db.ok());
+    for (Key k = 0; k < 300; ++k) {
+      ASSERT_TRUE((*db)->Put(k, k + 9).ok());
+      oracle.Put(k, k + 9);
+    }
+    ASSERT_TRUE((*db)->Flush().ok());
+    for (Key k = 250; k < 280; ++k) {  // memtable-resident overwrites
+      ASSERT_TRUE((*db)->Put(k, k + 90).ok());
+      oracle.Put(k, k + 90);
+    }
+    (*db)->CrashForTesting();
+  }
+  // Rewrite shard_0 into the old layout: the live generations, in order,
+  // become the single wal.log.
+  const std::string shard = dir + "/shard_0";
+  const ManifestData m = ReadManifest(shard + "/" + kManifestFileName).value();
+  std::string log;
+  for (uint64_t gen = m.wal_min_gen; FileExists(WalPath(shard, gen)); ++gen) {
+    log += ReadFileToString(WalPath(shard, gen)).value();
+    ASSERT_TRUE(RemoveFile(WalPath(shard, gen)).ok());
+  }
+  ASSERT_FALSE(log.empty());
+  ASSERT_TRUE(WriteFileAtomic(shard + "/wal.log", log).ok());
+  DowngradeManifestToFormatOne(shard + "/" + kManifestFileName);
+  DowngradeManifestToFormatOne(dir + "/" + kManifestFileName);
+  ASSERT_EQ(ReadManifest(shard + "/" + kManifestFileName)->wal_min_gen, 0u);
+
+  {
+    auto db = ShardedDB::Open(o);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ExpectMatchesOracle(db->get(), oracle, 300);
+    ASSERT_TRUE((*db)->Flush().ok());
+    EXPECT_FALSE(FileExists(shard + "/wal.log"))
+        << "the flushed single log was not retired";
+  }
+  auto db = ShardedDB::Open(o);
+  ASSERT_TRUE(db.ok());
+  ExpectMatchesOracle(db->get(), oracle, 300);
+}
+
+TEST(RecoveryTest, NewerManifestFormatIsRefusedByName) {
+  const std::string dir = FreshDir("format_future");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  const std::string path = dir + "/" + kManifestFileName;
+  ASSERT_TRUE(WriteManifest(path, ManifestData{}).ok());
+  std::string blob = ReadFileToString(path).value();
+  const uint32_t future = kManifestVersion + 1;
+  blob.replace(4, 4, reinterpret_cast<const char*>(&future), 4);
+  ASSERT_TRUE(WriteFileAtomic(path, blob).ok());
+  const auto read = ReadManifest(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("unsupported format version"),
+            std::string::npos);
 }
 
 TEST(RecoveryTest, DurabilityCountersAggregateAcrossShards) {

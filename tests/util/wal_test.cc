@@ -1,28 +1,34 @@
 // WalWriter/WalReader unit tests: framing round-trips, group commit,
 // torn-tail and corruption tolerance (replay must stop at the last intact
-// record, never abort), append-across-reopen, and the crash-simulation
-// Abandon() hook the recovery suites build on.
+// record, never abort), append-across-reopen, rotation to a fresh file,
+// and the crash-simulation Abandon() hook the recovery suites build on.
 
 #include "util/wal.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/env.h"
+#include "util/fault_injection.h"
 
 namespace endure {
 namespace {
 
-std::string TempWalPath(const std::string& name) {
-  const std::string path = "/tmp/endure_wal_test_" + name + ".log";
-  std::remove(path.c_str());
-  return path;
+/// A fresh directory for one test's logs.
+std::string TempWalDir(const std::string& name) {
+  const std::string dir = "/tmp/endure_wal_test_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 std::vector<std::pair<uint8_t, std::string>> ReadAll(
@@ -46,9 +52,10 @@ TEST(Crc32Test, MatchesKnownVector) {
 }
 
 TEST(WalTest, RoundTripsTypedRecords) {
-  const std::string path = TempWalPath("roundtrip");
+  const std::string dir = TempWalDir("roundtrip");
+  const std::string path = WalPath(dir, 1);
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kNone);
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kNone);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "hello", 5);
     (*writer)->Append(7, "", 0);
@@ -64,13 +71,14 @@ TEST(WalTest, RoundTripsTypedRecords) {
 }
 
 TEST(WalTest, MissingFileReadsAsEmpty) {
-  const auto records = ReadAll(TempWalPath("missing"));
+  const auto records = ReadAll(WalPath(TempWalDir("missing"), 1));
   EXPECT_TRUE(records.empty());
 }
 
 TEST(WalTest, GroupCommitWritesOnce) {
-  const std::string path = TempWalPath("group");
-  auto writer = WalWriter::Open(path, WalSyncMode::kNone);
+  const std::string dir = TempWalDir("group");
+  const std::string path = WalPath(dir, 1);
+  auto writer = WalWriter::Open(dir, 1, WalSyncMode::kNone);
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 10; ++i) (*writer)->Append(1, "x", 1);
   EXPECT_EQ((*writer)->bytes_committed(), 0u);  // staged only
@@ -80,15 +88,16 @@ TEST(WalTest, GroupCommitWritesOnce) {
 }
 
 TEST(WalTest, AppendsAcrossReopen) {
-  const std::string path = TempWalPath("reopen");
+  const std::string dir = TempWalDir("reopen");
+  const std::string path = WalPath(dir, 1);
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kPerBatch);
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kPerBatch);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "first", 5);
     ASSERT_TRUE((*writer)->Commit().ok());
   }
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kPerBatch);
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kPerBatch);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "second", 6);
     ASSERT_TRUE((*writer)->Commit().ok());
@@ -100,9 +109,10 @@ TEST(WalTest, AppendsAcrossReopen) {
 }
 
 TEST(WalTest, StopsAtTornTail) {
-  const std::string path = TempWalPath("torn");
+  const std::string dir = TempWalDir("torn");
+  const std::string path = WalPath(dir, 1);
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kNone);
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kNone);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "intact", 6);
     (*writer)->Append(1, "casualty", 8);
@@ -121,9 +131,10 @@ TEST(WalTest, StopsAtTornTail) {
 }
 
 TEST(WalTest, StopsAtCorruptRecord) {
-  const std::string path = TempWalPath("corrupt");
+  const std::string dir = TempWalDir("corrupt");
+  const std::string path = WalPath(dir, 1);
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kNone);
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kNone);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "good", 4);
     (*writer)->Append(1, "bad", 3);
@@ -146,9 +157,10 @@ TEST(WalTest, StopsAtCorruptRecord) {
 }
 
 TEST(WalTest, AbandonDropsStagedRecords) {
-  const std::string path = TempWalPath("abandon");
+  const std::string dir = TempWalDir("abandon");
+  const std::string path = WalPath(dir, 1);
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kNone);
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kNone);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "durable", 7);
     ASSERT_TRUE((*writer)->Commit().ok());
@@ -160,49 +172,134 @@ TEST(WalTest, AbandonDropsStagedRecords) {
   EXPECT_EQ(records[0].second, "durable");
 }
 
-TEST(WalTest, ReopenAfterRewritePreservesSyncStateAndAppends) {
-  const std::string path = TempWalPath("rewrite");
+TEST(WalTest, RotatePreservesSyncStateAndAppends) {
+  const std::string dir = TempWalDir("rotate");
   WalFlushService service(/*sync_interval_ms=*/1);
   std::atomic<int> syncs{0};
-  auto writer = WalWriter::Open(path, WalSyncMode::kBackground,
+  auto writer = WalWriter::Open(dir, 1, WalSyncMode::kBackground,
                                 [&syncs] { ++syncs; }, &service);
   ASSERT_TRUE(writer.ok());
   (*writer)->Append(1, "pre", 3);
   ASSERT_TRUE((*writer)->Commit().ok());
-
-  // Simulate a checkpoint: write the replacement log (as the snapshot
-  // writer would), fsync it, rename it over the live one, then redirect
-  // the long-lived appender at it.
-  const std::string tmp = path + ".rewrite";
-  {
-    auto snap = WalWriter::Open(tmp, WalSyncMode::kNone);
-    ASSERT_TRUE(snap.ok());
-    (*snap)->Append(1, "snapshot", 8);
-    ASSERT_TRUE((*snap)->Commit().ok());
-    ASSERT_TRUE((*snap)->Sync().ok());
-    (*snap)->Abandon();
-  }
-  ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0);
-  ASSERT_TRUE((*writer)->ReopenAfterRewrite(path).ok());
-  // The writer starts clean on the snapshot: no pending bytes, so the
-  // flush service must not re-sync the already-durable file.
-  const int syncs_after_swap = syncs.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(syncs.load(), syncs_after_swap) << "idle double-sync";
-
-  // New appends land on the renamed inode and background-sync normally.
-  (*writer)->Append(2, "post", 4);
+  // A record staged before the switch commits into the new file.
+  (*writer)->Append(1, "staged", 6);
+  ASSERT_TRUE((*writer)->Rotate().ok());
+  EXPECT_EQ((*writer)->generation(), 2u);
   ASSERT_TRUE((*writer)->Commit().ok());
-  for (int i = 0; i < 2000 && syncs.load() == syncs_after_swap; ++i) {
+
+  // The long-lived writer keeps its flush-service registration: the
+  // service syncs the retired file's tail and the new file, then — with
+  // nothing left dirty — never touches the writer again.
+  EXPECT_EQ(service.num_writers(), 1u);
+  for (int i = 0; i < 2000 && syncs.load() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GT(syncs.load(), syncs_after_swap) << "post-rewrite sync skipped";
+  ASSERT_GE(syncs.load(), 2) << "retired or current log never synced";
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const int settled = syncs.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(syncs.load(), settled) << "idle double-sync";
+
+  // New appends keep landing in the new file and background-sync.
+  (*writer)->Append(2, "post", 4);
+  ASSERT_TRUE((*writer)->Commit().ok());
+  for (int i = 0; i < 2000 && syncs.load() == settled; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(syncs.load(), settled) << "post-rotation sync skipped";
   writer->reset();
 
-  const auto records = ReadAll(path);
+  const auto old_records = ReadAll(WalPath(dir, 1));
+  ASSERT_EQ(old_records.size(), 1u);
+  EXPECT_EQ(old_records[0].second, "pre");
+  const auto new_records = ReadAll(WalPath(dir, 2));
+  ASSERT_EQ(new_records.size(), 2u);
+  EXPECT_EQ(new_records[0].second, "staged");
+  EXPECT_EQ(new_records[1].second, "post");
+}
+
+TEST(WalTest, RotateSyncsInlineOutsideBackgroundMode) {
+  // kPerBatch and kNone have no flush service to defer to: the switch
+  // itself syncs the retired tail (kNone leaves one) and the directory.
+  for (const WalSyncMode mode : {WalSyncMode::kNone, WalSyncMode::kPerBatch}) {
+    const std::string dir =
+        TempWalDir("inline_" + std::to_string(static_cast<int>(mode)));
+    std::atomic<int> syncs{0};
+    auto writer = WalWriter::Open(dir, 1, mode, [&syncs] { ++syncs; });
+    ASSERT_TRUE(writer.ok());
+    (*writer)->Append(1, "a", 1);
+    ASSERT_TRUE((*writer)->Commit().ok());
+    const int before = syncs.load();
+    ASSERT_TRUE((*writer)->Rotate().ok());
+    // kNone's committed tail was dirty until the switch synced it;
+    // kPerBatch's was synced by its commit already.
+    EXPECT_EQ(syncs.load(),
+              before + (mode == WalSyncMode::kNone ? 1 : 0));
+    (*writer)->Abandon();
+  }
+}
+
+TEST(WalTest, PreparedRotationUsesTheFileCreatedAhead) {
+  const std::string dir = TempWalDir("prepared");
+  ScopedFaultInjector fi;
+  auto writer = WalWriter::Open(dir, 7, WalSyncMode::kPerBatch);
+  ASSERT_TRUE(writer.ok());
+  (*writer)->Append(1, "a", 1);
+  ASSERT_TRUE((*writer)->Commit().ok());  // syncs the file and directory
+  fi->Arm(FaultSite::kWalOpen, {.count = 0});  // count opens, fail none
+  (*writer)->PrepareRotation();
+  (*writer)->PrepareRotation();  // already prepared: no second open
+  EXPECT_TRUE(FileExists(WalPath(dir, 8)));
+  EXPECT_EQ(fi->seen(FaultSite::kWalOpen), 1u);
+  // The rotation itself opens nothing and, the directory entry being
+  // durable already, syncs nothing.
+  fi->Arm(FaultSite::kWalOpen, {.count = UINT64_MAX, .err = EMFILE});
+  fi->Arm(FaultSite::kDirSync, {.count = UINT64_MAX, .err = EIO});
+  ASSERT_TRUE((*writer)->Rotate().ok());
+  EXPECT_EQ(fi->seen(FaultSite::kWalOpen), 0u);
+  EXPECT_EQ(fi->seen(FaultSite::kDirSync), 0u);
+  (*writer)->Append(1, "x", 1);
+  ASSERT_TRUE((*writer)->Commit().ok());
+  // A failed preparation leaves the next Rotate to open (and fail).
+  (*writer)->PrepareRotation();
+  EXPECT_FALSE((*writer)->Rotate().ok());
+  EXPECT_EQ((*writer)->generation(), 8u);
+  fi->DisarmAll();
+  writer->reset();
+  ASSERT_EQ(ReadAll(WalPath(dir, 8)).size(), 1u);
+}
+
+TEST(WalTest, FailedRotateKeepsAppendingToTheOldFile) {
+  const std::string dir = TempWalDir("failed_rotate");
+  {
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kPerBatch);
+    ASSERT_TRUE(writer.ok());
+    (*writer)->Append(1, "before", 6);
+    ASSERT_TRUE((*writer)->Commit().ok());
+    {
+      ScopedFaultInjector fi;
+      fi->Arm(FaultSite::kWalOpen, {.count = 1, .err = EMFILE});
+      EXPECT_FALSE((*writer)->Rotate().ok());
+    }
+    EXPECT_EQ((*writer)->generation(), 1u);
+    (*writer)->Append(1, "after", 5);
+    ASSERT_TRUE((*writer)->Commit().ok());
+  }
+  EXPECT_FALSE(FileExists(WalPath(dir, 2)));
+  const auto records = ReadAll(WalPath(dir, 1));
   ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].second, "snapshot");
-  EXPECT_EQ(records[1].second, "post");
+  EXPECT_EQ(records[1].second, "after");
+}
+
+TEST(WalTest, GenerationFileNamesRoundTrip) {
+  EXPECT_EQ(WalPath("d", 0), "d/wal.log");
+  EXPECT_EQ(WalPath("d", 42), "d/wal_42.log");
+  EXPECT_EQ(ParseWalFileName("wal.log"), std::optional<uint64_t>(0));
+  EXPECT_EQ(ParseWalFileName("wal_42.log"), std::optional<uint64_t>(42));
+  for (const char* other : {"wal_.log", "wal_0.log", "wal_4x.log",
+                            "wal.log.rewrite", "MANIFEST", "seg_1.run"}) {
+    EXPECT_FALSE(ParseWalFileName(other).has_value()) << other;
+  }
 }
 
 TEST(WalFlushServiceTest, DrivesAllRegisteredWritersFromOneThread) {
@@ -212,7 +309,7 @@ TEST(WalFlushServiceTest, DrivesAllRegisteredWritersFromOneThread) {
   std::vector<std::unique_ptr<WalWriter>> writers;
   for (int i = 0; i < kWriters; ++i) {
     syncs[i] = 0;
-    auto w = WalWriter::Open(TempWalPath("service_" + std::to_string(i)),
+    auto w = WalWriter::Open(TempWalDir("service_" + std::to_string(i)), 1,
                              WalSyncMode::kBackground,
                              [&syncs, i] { ++syncs[i]; }, &service);
     ASSERT_TRUE(w.ok());
@@ -245,15 +342,15 @@ TEST(WalFlushServiceTest, WriterLifecycleRacesServicePassSafely) {
   std::thread churn([&service, &stop] {
     int n = 0;
     while (!stop.load()) {
-      auto w = WalWriter::Open(TempWalPath("churn_" + std::to_string(n++ % 3)),
-                               WalSyncMode::kBackground, nullptr, &service);
+      auto w = WalWriter::Open(TempWalDir("churn_" + std::to_string(n++ % 3)),
+                               1, WalSyncMode::kBackground, nullptr, &service);
       ASSERT_TRUE(w.ok());
       (*w)->Append(1, "y", 1);
       ASSERT_TRUE((*w)->Commit().ok());
       // Destructor deregisters mid-flight against the service pass.
     }
   });
-  auto steady = WalWriter::Open(TempWalPath("churn_steady"),
+  auto steady = WalWriter::Open(TempWalDir("churn_steady"), 1,
                                 WalSyncMode::kBackground, nullptr, &service);
   ASSERT_TRUE(steady.ok());
   for (int i = 0; i < 200; ++i) {
@@ -267,11 +364,12 @@ TEST(WalFlushServiceTest, WriterLifecycleRacesServicePassSafely) {
 }
 
 TEST(WalTest, BackgroundModeSyncsEventually) {
-  const std::string path = TempWalPath("background");
+  const std::string dir = TempWalDir("background");
+  const std::string path = WalPath(dir, 1);
   WalFlushService service(/*sync_interval_ms=*/1);
   std::atomic<int> syncs{0};
   {
-    auto writer = WalWriter::Open(path, WalSyncMode::kBackground,
+    auto writer = WalWriter::Open(dir, 1, WalSyncMode::kBackground,
                                   [&syncs] { ++syncs; }, &service);
     ASSERT_TRUE(writer.ok());
     (*writer)->Append(1, "payload", 7);
@@ -285,7 +383,7 @@ TEST(WalTest, BackgroundModeSyncsEventually) {
 
 TEST(WalTest, BackgroundModeRequiresAFlushService) {
   const auto writer =
-      WalWriter::Open(TempWalPath("no_service"), WalSyncMode::kBackground);
+      WalWriter::Open(TempWalDir("no_service"), 1, WalSyncMode::kBackground);
   ASSERT_FALSE(writer.ok());
   EXPECT_EQ(writer.status().code(), StatusCode::kInvalidArgument);
 }
