@@ -163,10 +163,11 @@ StatusOr<std::shared_ptr<Run>> RebuildRun(PageStore* store,
   first_keys.reserve(num_pages);
   Key last_key = 0;
   PageBuffer scratch(entries_per_page);
+  ReadWindow window;  // one extent per pread across the whole segment
   for (size_t page = 0; page < num_pages; ++page) {
     const StatusOr<PageView> view =
-        store->ReadPageView(meta.segment, page, IoContext::kRecovery,
-                            &scratch);
+        store->ReadPageView(meta.segment, page, num_pages - 1,
+                            IoContext::kRecovery, &scratch, &window);
     ENDURE_RETURN_IF_ERROR(view.status());
     if (view->size == 0) {
       return Status::Corruption("empty page " + std::to_string(page) +

@@ -62,9 +62,10 @@ int SkipList::RandomHeight() {
 SkipList::Node* SkipList::FindGreaterOrEqual(Key key, SeqNum seq_bound,
                                              Node** prev) const {
   Node* x = head_;
+  Node* next = nullptr;
   for (int level = height_.load(std::memory_order_acquire) - 1; level >= 0;
        --level) {
-    Node* next = x->Next(level);
+    next = x->Next(level);
     while (next != nullptr &&
            NodeBefore(next->entry.key, next->entry.seq, key, seq_bound)) {
       x = next;
@@ -72,7 +73,10 @@ SkipList::Node* SkipList::FindGreaterOrEqual(Key key, SeqNum seq_bound,
     }
     if (prev != nullptr) prev[level] = x;
   }
-  return x->Next(0);
+  // Return the level-0 successor the search compared, not a fresh load of
+  // x->next[0]: a node the writer links in behind x after the comparison
+  // orders before the target, and reloading would hand it back as a miss.
+  return next;
 }
 
 bool SkipList::Upsert(const Entry& e) {

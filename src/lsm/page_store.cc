@@ -60,6 +60,13 @@ void PageStore::CacheErase(SegmentId segment) const {
   cache_->EraseSegment(cache_store_id_, segment);
 }
 
+StatusOr<PageView> PageStore::ReadPageView(SegmentId segment, size_t page_idx,
+                                           IoContext ctx,
+                                           PageBuffer* scratch) const {
+  ReadWindow window;  // this read's own buffer, handed back on return
+  return ReadPageView(segment, page_idx, page_idx, ctx, scratch, &window);
+}
+
 Status PageStore::ReadPage(SegmentId segment, size_t page_idx, IoContext ctx,
                            PageBuffer* out) const {
   StatusOr<PageView> view = ReadPageView(segment, page_idx, ctx, out);
@@ -157,9 +164,9 @@ const std::vector<Entry>* MemPageStore::SlotData(SegmentId segment) const {
   return slot.data.get();
 }
 
-StatusOr<PageView> MemPageStore::ReadPageView(SegmentId segment,
-                                              size_t page_idx, IoContext ctx,
-                                              PageBuffer* scratch) const {
+StatusOr<PageView> MemPageStore::ReadPageView(
+    SegmentId segment, size_t page_idx, size_t /*last_page*/, IoContext ctx,
+    PageBuffer* scratch, ReadWindow* /*window*/) const {
   // A cache hit is not a device read: no page-read accounting, the hit
   // counter tells the story. RAM pages cannot rot, so admission needs no
   // checksum gate here.
@@ -211,16 +218,19 @@ constexpr size_t kPageAlign = 4096;
 // Entries are serialized with the shared EncodeEntry/DecodeEntry from
 // entry.h — the same layout WAL records and recovery use.
 
-/// Page-aligned allocation (pread/pwrite buffers; alignment also keeps the
-/// door open for O_DIRECT). Returns null on allocation failure (including
-/// an injected one) — callers surface an IOError naming the size rather
-/// than aborting.
+size_t AlignedBytes(size_t bytes) {
+  return (bytes + kPageAlign - 1) / kPageAlign * kPageAlign;
+}
+
+/// Page-aligned allocation of AlignedBytes(bytes) (pread/pwrite buffers;
+/// alignment also keeps the door open for O_DIRECT). Returns null on
+/// allocation failure (including an injected one) — callers surface an
+/// IOError naming the size rather than aborting.
 std::unique_ptr<char, void (*)(void*)> AlignedPage(size_t bytes) {
-  const size_t rounded = (bytes + kPageAlign - 1) / kPageAlign * kPageAlign;
   if (CheckFault(FaultSite::kAlloc).fires()) {
     return {nullptr, &std::free};
   }
-  void* p = std::aligned_alloc(kPageAlign, rounded);
+  void* p = std::aligned_alloc(kPageAlign, AlignedBytes(bytes));
   return {static_cast<char*>(p), &std::free};
 }
 
@@ -243,7 +253,7 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
         id_(id),
         path_(std::move(path)),
         ctx_(ctx),
-        scratch_(nullptr, &std::free) {}
+        buf_(nullptr, &std::free) {}
 
   ~Writer() override {
     if (!sealed_) {  // abandon: release the half-written file
@@ -258,27 +268,40 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
                      "bad page entry count");
     ENDURE_CHECK_MSG(!partial_appended_,
                      "only the final page may be partial");
+    ENDURE_RETURN_IF_ERROR(extent_status_);
     ENDURE_RETURN_IF_ERROR(EnsureReady());
     partial_appended_ = count < store_->entries_per_page_;
 
+    // Encode into the next free slot of the staging buffer (the buffer
+    // holds ExtentPages() pages and is written out whenever it fills).
     const size_t page_bytes = store_->PageBytes();
     const size_t disk_bytes = store_->PageDiskBytes();
-    std::memset(scratch_.get(), 0, disk_bytes);
+    char* page = buf_.get() + staged_ * disk_bytes;
+    std::memset(page, 0, disk_bytes);
     for (size_t i = 0; i < count; ++i) {
-      EncodeEntry(entries[i], scratch_.get() + i * kEntryBytes);
+      EncodeEntry(entries[i], page + i * kEntryBytes);
     }
     // Integrity footer: entry count, then CRC over payload + count.
     const uint32_t count32 = static_cast<uint32_t>(count);
-    std::memcpy(scratch_.get() + page_bytes, &count32, sizeof(count32));
-    const uint32_t crc = Crc32(scratch_.get(), page_bytes + sizeof(count32));
-    std::memcpy(scratch_.get() + page_bytes + sizeof(count32), &crc,
-                sizeof(crc));
+    std::memcpy(page + page_bytes, &count32, sizeof(count32));
+    const uint32_t crc = Crc32(page, page_bytes + sizeof(count32));
+    std::memcpy(page + page_bytes + sizeof(count32), &crc, sizeof(crc));
 
     const FaultOutcome fault = CheckFault(FaultSite::kSegmentWrite);
+    if (!fault.fires()) {
+      ++staged_;
+      num_entries_ += count;
+      store_->stats_->OnPageWrite(ctx_, 1);
+      return staged_ == store_->ExtentPages() ? WriteStaged()
+                                              : Status::OK();
+    }
+    // A faulted page goes to the file alone, after the pages staged
+    // before it, so the injected outcome hits exactly this page.
+    ENDURE_RETURN_IF_ERROR(WriteStaged());
     if (fault.corrupt) {
       // Bit-rot between the CPU and the platter: the CRC above no longer
       // matches what lands on disk.
-      scratch_.get()[count / 2] ^= 0x20;
+      page[count / 2] ^= 0x20;
     }
     // An injected torn write puts half the page on disk; an injected
     // plain error performs no I/O at all.
@@ -286,8 +309,8 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
     if (fault.err != 0 && !fault.short_io) write_bytes = 0;
     ssize_t written = 0;
     if (write_bytes > 0) {
-      written = ::pwrite(fd_, scratch_.get(), write_bytes,
-                         static_cast<off_t>(num_pages_ * disk_bytes));
+      written = ::pwrite(fd_, page, write_bytes,
+                         static_cast<off_t>(written_pages_ * disk_bytes));
       if (written < 0) {
         return Status::IOError("segment write to " + path_ + " failed: " +
                                ErrnoName(errno));
@@ -302,7 +325,7 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
     }
     // An injected silent tear (short_io, no errno) falls through as
     // success — only the checksum can catch it later.
-    ++num_pages_;
+    ++written_pages_;
     num_entries_ += count;
     store_->stats_->OnPageWrite(ctx_, 1);
     return Status::OK();
@@ -310,7 +333,10 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
 
   StatusOr<SegmentId> Seal() override {
     ENDURE_CHECK_MSG(!sealed_, "writer already sealed");
-    ENDURE_CHECK_MSG(num_pages_ > 0, "cannot seal an empty segment");
+    ENDURE_CHECK_MSG(written_pages_ + staged_ > 0,
+                     "cannot seal an empty segment");
+    ENDURE_RETURN_IF_ERROR(extent_status_);
+    ENDURE_RETURN_IF_ERROR(WriteStaged());
     // Persistent segments must be on the device before the manifest may
     // reference them; ephemeral stores skip the fsync (the experiments'
     // hot path). A failed fsync leaves the writer unsealed: dropping it
@@ -352,11 +378,33 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
       }
       created_ = true;
     }
-    if (scratch_ == nullptr) {
-      scratch_ = AlignedPage(store_->PageDiskBytes());
-      if (scratch_ == nullptr) return AllocFailed(store_->PageDiskBytes());
+    if (buf_ == nullptr) {
+      buf_ = AlignedPage(store_->PageDiskBytes());
+      if (buf_ == nullptr) return AllocFailed(store_->PageDiskBytes());
     }
     return Status::OK();
+  }
+
+  /// Writes the staged pages with one pwrite behind the pages already in
+  /// the file. A failure is kept: the writer is dead, and every later
+  /// AppendPage or Seal returns it.
+  Status WriteStaged() {
+    if (staged_ == 0) return Status::OK();
+    const size_t disk_bytes = store_->PageDiskBytes();
+    const size_t bytes = staged_ * disk_bytes;
+    const ssize_t written =
+        ::pwrite(fd_, buf_.get(), bytes,
+                 static_cast<off_t>(written_pages_ * disk_bytes));
+    if (written < 0) {
+      extent_status_ = Status::IOError("segment write to " + path_ +
+                                       " failed: " + ErrnoName(errno));
+    } else if (static_cast<size_t>(written) < bytes) {
+      extent_status_ = Status::IOError("short segment write to " + path_);
+    } else {
+      written_pages_ += staged_;
+      staged_ = 0;
+    }
+    return extent_status_;
   }
 
   FilePageStore* store_;
@@ -365,9 +413,11 @@ class FilePageStore::Writer final : public PageStore::SegmentWriter {
   int fd_ = -1;
   bool created_ = false;
   IoContext ctx_;
-  std::unique_ptr<char, void (*)(void*)> scratch_;
-  size_t num_pages_ = 0;
+  std::unique_ptr<char, void (*)(void*)> buf_;  ///< ExtentPages() pages
+  size_t written_pages_ = 0;  ///< pages in the file
+  size_t staged_ = 0;         ///< pages in buf_, behind those
   size_t num_entries_ = 0;
+  Status extent_status_;      ///< first failed extent write
   bool partial_appended_ = false;
   bool sealed_ = false;
 };
@@ -429,9 +479,62 @@ void FilePageStore::ReturnScratch(AlignedBuf buf) const {
   read_scratch_pool_.push_back(std::move(buf));
 }
 
+size_t FilePageStore::ExtentPages() const {
+  return AlignedBytes(PageDiskBytes()) / PageDiskBytes();
+}
+
+void ReadWindow::Release() { lender_->ReturnScratch(std::move(buf_)); }
+
+Status FilePageStore::FillWindow(const SegmentMeta& meta, SegmentId segment,
+                                 size_t page_idx, size_t last_page,
+                                 ReadWindow* window) const {
+  ENDURE_DCHECK(last_page >= page_idx);
+  const size_t disk_bytes = PageDiskBytes();
+  const size_t num_pages =
+      (meta.num_entries + entries_per_page_ - 1) / entries_per_page_;
+  if (window->buf_ == nullptr) {
+    window->buf_ = BorrowScratch();
+    if (window->buf_ == nullptr) return AllocFailed(disk_bytes);
+    window->lender_ = this;
+  }
+  window->num_pages_ = 0;
+  const size_t want = std::min({ExtentPages(), last_page - page_idx + 1,
+                                num_pages - page_idx});
+  const off_t offset = static_cast<off_t>(page_idx * disk_bytes);
+  ssize_t got =
+      ::pread(meta.fd, window->buf_.get(), want * disk_bytes, offset);
+  if (want > 1 && got < static_cast<ssize_t>(disk_bytes)) {
+    // A failed or short extent read: read the wanted page alone, so the
+    // error reported is exactly the one-page read's.
+    got = ::pread(meta.fd, window->buf_.get(), disk_bytes, offset);
+  }
+  // PathFor allocates: only the error branches name the file.
+  if (got < 0) {
+    const int err = errno;
+    return Status::IOError("segment read from " + PathFor(segment) +
+                           " failed: " + ErrnoName(err));
+  }
+  if (got < static_cast<ssize_t>(disk_bytes)) {
+    ++stats_->checksum_failures;
+    return Status::Corruption("truncated page " + std::to_string(page_idx) +
+                              " in " + PathFor(segment) + " (" +
+                              std::to_string(got) + " of " +
+                              std::to_string(disk_bytes) + " bytes)");
+  }
+  // A short extent that still covers the wanted page keeps its whole
+  // pages; the next page it lacks refills from there.
+  window->segment_ = segment;
+  window->first_page_ = page_idx;
+  window->num_pages_ = static_cast<size_t>(got) / disk_bytes;
+  return Status::OK();
+}
+
 StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
-                                               size_t page_idx, IoContext ctx,
-                                               PageBuffer* scratch) const {
+                                               size_t page_idx,
+                                               size_t last_page,
+                                               IoContext ctx,
+                                               PageBuffer* scratch,
+                                               ReadWindow* window) const {
   SegmentMeta meta;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -450,45 +553,28 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
     return PageView{scratch->data(), scratch->size()};
   }
 
-  const size_t page_bytes = PageBytes();
-  const size_t disk_bytes = PageDiskBytes();
-  AlignedBuf raw = BorrowScratch();
-  if (raw == nullptr) return AllocFailed(disk_bytes);
-  // Hand the buffer back on every exit path. A local class inside a member
-  // function shares the function's access rights, so it may call the
-  // private ReturnScratch.
-  struct Returner {
-    const FilePageStore* store;
-    AlignedBuf* buf;
-    ~Returner() { store->ReturnScratch(std::move(*buf)); }
-  } returner{this, &raw};
-  // PathFor allocates: only the error branches name the file.
+  // A miss is a page read whether its bytes come from the device now or
+  // from the window's extent: the fault check, verification and counting
+  // below run once per page, when the reader reaches it.
   const FaultOutcome fault = CheckFault(FaultSite::kSegmentRead);
   if (fault.err != 0) {
     return Status::IOError("segment read from " + PathFor(segment) +
                            " failed: " + ErrnoName(fault.err) +
                            " [injected]");
   }
-  const ssize_t got = ::pread(meta.fd, raw.get(), disk_bytes,
-                              static_cast<off_t>(page_idx * disk_bytes));
-  if (got < 0) {
-    const int err = errno;
-    return Status::IOError("segment read from " + PathFor(segment) +
-                           " failed: " + ErrnoName(err));
+  if (!window->Holds(segment, page_idx)) {
+    ENDURE_RETURN_IF_ERROR(
+        FillWindow(meta, segment, page_idx, last_page, window));
   }
-  if (got != static_cast<ssize_t>(disk_bytes)) {
-    ++stats_->checksum_failures;
-    return Status::Corruption("truncated page " + std::to_string(page_idx) +
-                              " in " + PathFor(segment) + " (" +
-                              std::to_string(got) + " of " +
-                              std::to_string(disk_bytes) + " bytes)");
-  }
+  const size_t page_bytes = PageBytes();
+  const char* raw = window->buf_.get() +
+                    (page_idx - window->first_page_) * PageDiskBytes();
   uint32_t stored_count = 0;
   uint32_t stored_crc = 0;
-  std::memcpy(&stored_count, raw.get() + page_bytes, sizeof(stored_count));
-  std::memcpy(&stored_crc, raw.get() + page_bytes + sizeof(stored_count),
+  std::memcpy(&stored_count, raw + page_bytes, sizeof(stored_count));
+  std::memcpy(&stored_crc, raw + page_bytes + sizeof(stored_count),
               sizeof(stored_crc));
-  const uint32_t actual = Crc32(raw.get(), page_bytes + sizeof(stored_count));
+  const uint32_t actual = Crc32(raw, page_bytes + sizeof(stored_count));
   if (stored_crc != actual || stored_count != count) {
     ++stats_->checksum_failures;
     return Status::Corruption("checksum mismatch on page " +
@@ -498,7 +584,7 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   scratch->Reserve(entries_per_page_);
   Entry* dst = scratch->data();
   for (size_t i = 0; i < count; ++i) {
-    dst[i] = DecodeEntry(raw.get() + i * kEntryBytes);
+    dst[i] = DecodeEntry(raw + i * kEntryBytes);
   }
   scratch->set_size(count);
   stats_->OnPageRead(ctx, 1);

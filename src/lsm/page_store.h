@@ -12,17 +12,21 @@
 //
 // Two backends: MemPageStore (default; pages live in RAM but are accounted
 // as device pages) and FilePageStore (pages serialized to files via POSIX
-// pread/pwrite for end-to-end realism). Stores synchronize their segment
-// tables internally, so background maintenance can stream merge I/O while
-// the foreground serves reads: concurrent readers, writers and FreeSegment
-// on *distinct* segments are safe. What stays with the caller: a segment is
-// immutable once sealed, is never read before Seal, and is freed only after
-// its last reader is gone (Run's destructor pairs with its shared_ptr).
+// pread/pwrite for end-to-end realism; sequential readers and writers move
+// whole 4 KiB extents of pages per syscall, while every page is still
+// counted, fault-checked and verified on its own). Stores synchronize
+// their segment tables internally, so background maintenance can stream
+// merge I/O while the foreground serves reads: concurrent readers, writers
+// and FreeSegment on *distinct* segments are safe. What stays with the
+// caller: a segment is immutable once sealed, is never read before Seal,
+// and is freed only after its last reader is gone (Run's destructor pairs
+// with its shared_ptr).
 
 #ifndef ENDURE_LSM_PAGE_STORE_H_
 #define ENDURE_LSM_PAGE_STORE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -115,6 +119,53 @@ struct PageView {
   const Entry& operator[](size_t i) const { return data[i]; }
 };
 
+class FilePageStore;
+
+/// A reader's read window over one segment: the raw on-disk bytes of
+/// consecutive pages, read with one pread into one aligned extent buffer.
+/// The file backend borrows that buffer from its scratch pool on the
+/// reader's first device read and takes it back when the window is
+/// destroyed, so a reader obtains it once, never per refill. Holding raw
+/// bytes is not reading a page: each page in the window is still
+/// fault-checked, verified, decoded and counted only when its reader
+/// reaches it. The memory backend never touches a window. Move-only; one
+/// per reader, never shared across threads.
+class ReadWindow {
+ public:
+  ReadWindow() = default;
+  ~ReadWindow() {
+    if (buf_ != nullptr) Release();
+  }
+  // Moves swap, so each buffer still goes back to its own lender.
+  ReadWindow(ReadWindow&& other) noexcept { Swap(other); }
+  ReadWindow& operator=(ReadWindow&& other) noexcept {
+    Swap(other);
+    return *this;
+  }
+
+ private:
+  friend class FilePageStore;
+
+  bool Holds(SegmentId segment, size_t page) const {
+    return segment == segment_ && page >= first_page_ &&
+           page - first_page_ < num_pages_;
+  }
+  void Release();
+  void Swap(ReadWindow& other) noexcept {
+    std::swap(lender_, other.lender_);
+    std::swap(buf_, other.buf_);
+    std::swap(segment_, other.segment_);
+    std::swap(first_page_, other.first_page_);
+    std::swap(num_pages_, other.num_pages_);
+  }
+
+  const FilePageStore* lender_ = nullptr;  ///< whose pool buf_ goes back to
+  std::unique_ptr<char, void (*)(void*)> buf_{nullptr, &std::free};
+  SegmentId segment_ = 0;
+  size_t first_page_ = 0;
+  size_t num_pages_ = 0;  ///< whole pages held; 0 = empty
+};
+
 /// Abstract page-granular segment store.
 class PageStore {
  public:
@@ -122,22 +173,33 @@ class PageStore {
   /// PageStore::NewSegmentWriter, append pages in order, then Seal.
   /// Destroying an unsealed writer — including after a failed append or
   /// seal — abandons the segment (its storage is released; pages already
-  /// appended stay counted — the device I/O happened).
+  /// appended stay counted, including pages a file writer had staged but
+  /// not yet written).
+  ///
+  /// The file backend stages appended pages in its one aligned 4 KiB
+  /// buffer and writes each full buffer with one pwrite; the staged tail
+  /// reaches the file in Seal, before the durability fsync. A page whose
+  /// injected kSegmentWrite fault fires is written alone, after the pages
+  /// staged before it, so injected tears, rot and errors hit that page
+  /// only.
   class SegmentWriter {
    public:
     virtual ~SegmentWriter() = default;
 
     /// Appends one page of `count` entries (1 <= count <=
     /// entries_per_page). Every page except the final one must be full.
-    /// Counts one page write against the writer's IoContext. On error
-    /// (failed create, short write, ENOSPC, ...) the segment is unusable:
-    /// drop the writer to abandon it.
+    /// Counts one page write against the writer's IoContext when the page
+    /// is accepted (staged or written). On error (failed create, a failed
+    /// or short extent write, ENOSPC, ...) the segment is unusable: drop
+    /// the writer to abandon it. A failed extent write is returned by the
+    /// AppendPage or Seal that issued it and by every later call.
     virtual Status AppendPage(const Entry* entries, size_t count) = 0;
 
-    /// Finalizes the segment (at least one page appended) and returns its
-    /// id. May be called once; no appends afterwards. On error (e.g. the
-    /// durability fsync failed) the segment is NOT registered — drop the
-    /// writer to abandon it.
+    /// Writes any staged pages, then finalizes the segment (at least one
+    /// page appended) and returns its id. May be called once; no appends
+    /// afterwards. On error (the tail write or the durability fsync
+    /// failed) the segment is NOT registered — drop the writer to abandon
+    /// it.
     virtual StatusOr<SegmentId> Seal() = 0;
   };
 
@@ -161,17 +223,31 @@ class PageStore {
   StatusOr<SegmentId> WriteSegment(const std::vector<Entry>& entries,
                                    IoContext ctx);
 
-  /// Reads page `page_idx` of `segment`, counting one page read against
+  /// Reads page `page_idx` of `segment` for a reader that goes on to read
+  /// its pages in order up to `last_page`, counting one page read against
   /// `ctx`, and returns a borrowed view of its entries. Backends that hold
   /// pages in directly usable form (MemPageStore) return a pointer into
-  /// the segment without copying; backends that must materialize
-  /// (FilePageStore) decode into `scratch` — reserved and reused in place,
-  /// no allocation once warm — and return a view of it. Read failures and
-  /// checksum mismatches (file backend, verification enabled) surface as
-  /// IOError / Corruption.
+  /// the segment without copying and ignore the bound; backends that must
+  /// materialize (FilePageStore) decode into `scratch` — reserved and
+  /// reused in place, no allocation once warm — and return a view of it.
+  ///
+  /// The file backend looks the page up in the block cache first. On a
+  /// miss it serves the page's bytes from `window`, refilling the window
+  /// when it lacks the page with one pread of that page and the ones after
+  /// it, bounded by `last_page` and by the window's 4 KiB buffer. A short
+  /// or failed extent read falls back to reading the page alone, so its
+  /// error is the one-page read's. Read failures (including an injected
+  /// kSegmentRead fault, checked per page) and checksum mismatches
+  /// surface as IOError / Corruption for the page that has them.
   virtual StatusOr<PageView> ReadPageView(SegmentId segment, size_t page_idx,
-                                          IoContext ctx,
-                                          PageBuffer* scratch) const = 0;
+                                          size_t last_page, IoContext ctx,
+                                          PageBuffer* scratch,
+                                          ReadWindow* window) const = 0;
+
+  /// The one-page case (point lookups, blind seeks): the read above with
+  /// `last_page == page_idx` and a window that lives for this call only.
+  StatusOr<PageView> ReadPageView(SegmentId segment, size_t page_idx,
+                                  IoContext ctx, PageBuffer* scratch) const;
 
   /// Convenience over ReadPageView: reads page `page_idx` into `out`
   /// (always materialized there), counting one page read against `ctx`.
@@ -227,10 +303,12 @@ class MemPageStore final : public PageStore {
   MemPageStore(uint64_t entries_per_page, Statistics* stats)
       : PageStore(entries_per_page, stats) {}
 
+  using PageStore::ReadPageView;
   std::unique_ptr<SegmentWriter> NewSegmentWriter(IoContext ctx) override;
   StatusOr<PageView> ReadPageView(SegmentId segment, size_t page_idx,
-                                  IoContext ctx,
-                                  PageBuffer* scratch) const override;
+                                  size_t last_page, IoContext ctx,
+                                  PageBuffer* scratch,
+                                  ReadWindow* window) const override;
   void FreeSegment(SegmentId segment) override;
   size_t NumPages(SegmentId segment) const override;
   size_t NumEntries(SegmentId segment) const override;
@@ -259,8 +337,12 @@ class MemPageStore final : public PageStore {
 };
 
 /// File-backed store: one file per segment under `dir`, fixed-width binary
-/// entry encoding, page-aligned pread/pwrite through a per-store aligned
-/// scratch buffer (reads decode in place; no per-read allocation).
+/// entry encoding, pread/pwrite of whole extents — the pages that fit in
+/// one 4 KiB-aligned buffer (37 at B = 4, one at B = 256) — through
+/// aligned buffers reused from a per-store pool (reads decode in place;
+/// no per-read allocation). Writers stage pages and write one extent per
+/// pwrite; sequential readers read one extent per pread into their
+/// ReadWindow. Page counts stay per page: a syscall is not a page.
 ///
 /// On-disk page format: each page is PageBytes() of encoded entries
 /// (zero-padded past the valid count) followed by an 8-byte footer —
@@ -290,10 +372,12 @@ class FilePageStore final : public PageStore {
                 std::string dir, bool persistent = false);
   ~FilePageStore() override;
 
+  using PageStore::ReadPageView;
   std::unique_ptr<SegmentWriter> NewSegmentWriter(IoContext ctx) override;
   StatusOr<PageView> ReadPageView(SegmentId segment, size_t page_idx,
-                                  IoContext ctx,
-                                  PageBuffer* scratch) const override;
+                                  size_t last_page, IoContext ctx,
+                                  PageBuffer* scratch,
+                                  ReadWindow* window) const override;
   void FreeSegment(SegmentId segment) override;
   size_t NumPages(SegmentId segment) const override;
   size_t NumEntries(SegmentId segment) const override;
@@ -344,6 +428,7 @@ class FilePageStore final : public PageStore {
  private:
   class Writer;
   friend class Writer;
+  friend class ReadWindow;
 
   struct SegmentMeta {
     int fd = -1;
@@ -354,14 +439,23 @@ class FilePageStore final : public PageStore {
   size_t PageBytes() const { return kEntryBytes * entries_per_page_; }
   /// On-disk bytes of one page (payload + integrity footer).
   size_t PageDiskBytes() const { return PageBytes() + kPageFooterBytes; }
+  /// Pages one extent holds: the whole pages that fit in one aligned
+  /// buffer, whose size is PageDiskBytes() rounded up to 4 KiB.
+  size_t ExtentPages() const;
 
   using AlignedBuf = std::unique_ptr<char, void (*)(void*)>;
 
-  /// Borrows one aligned PageDiskBytes() scratch buffer from the pool
-  /// (allocating on a dry pool; null on allocation failure — surfaced as
-  /// a Status, not an abort). Return with ReturnScratch.
+  /// Borrows one aligned extent buffer from the pool (allocating on a dry
+  /// pool; null on allocation failure — surfaced as a Status, not an
+  /// abort). Return with ReturnScratch.
   AlignedBuf BorrowScratch() const;
   void ReturnScratch(AlignedBuf buf) const;
+
+  /// Refills `window` with page `page_idx` of `segment` and the pages
+  /// after it, up to `last_page` and ExtentPages(), in one pread.
+  Status FillWindow(const SegmentMeta& meta, SegmentId segment,
+                    size_t page_idx, size_t last_page,
+                    ReadWindow* window) const;
 
   std::string dir_;
   bool persistent_;
@@ -376,9 +470,10 @@ class FilePageStore final : public PageStore {
   /// among FreeSegment calls (ascending), and the calls so far.
   std::vector<std::pair<uint64_t, std::string>> pending_deletes_;
   uint64_t deletes_marked_ = 0;
-  /// Page-aligned read buffers, one borrowed per in-flight read; the pool
-  /// high-water mark is the read concurrency (foreground + merge threads),
-  /// so steady-state reads still allocate nothing.
+  /// Aligned extent buffers, one borrowed per live reader (a ReadWindow
+  /// keeps its buffer until destroyed); the pool high-water mark is the
+  /// read concurrency (foreground + merge threads), so steady-state reads
+  /// still allocate nothing.
   mutable std::vector<AlignedBuf> read_scratch_pool_;
 };
 

@@ -79,9 +79,12 @@ class Run {
   const Entry* Get(Key key, bool use_fence_skip,
                    Status* io_status = nullptr) const;
 
-  /// Sequential reader over [start_page, end_page] (inclusive); reads one
-  /// page at a time into its own reusable buffer, attributing I/O to
-  /// `ctx`. Move-only (it owns the page buffer).
+  /// Sequential reader over [start_page, end_page] (inclusive); decodes
+  /// one page at a time into its own reusable buffer, attributing I/O to
+  /// `ctx`. It passes end_page as the read bound, so the file backend
+  /// fills the iterator's ReadWindow one extent per pread, with a buffer
+  /// obtained once for the iterator's lifetime. Move-only (it owns the
+  /// page buffer and the window).
   class Iterator {
    public:
     Iterator(const Run* run, size_t start_page, size_t end_page,
@@ -109,6 +112,7 @@ class Run {
     IoContext ctx_;
     PageView view_;      ///< current page (borrowed or into buffer_)
     PageBuffer buffer_;  ///< scratch for backends that materialize
+    ReadWindow window_;  ///< raw extent read ahead (file backend)
     Status status_;      ///< first page-read failure, if any
     bool exhausted_ = false;
   };

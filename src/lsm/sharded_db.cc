@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "lsm/manifest.h"
@@ -26,6 +27,19 @@ Status WriteRootManifest(const std::string& root_dir, const Options& opts,
   root.kind = kManifestKindShardedRoot;
   root.num_shards = num_shards;
   return WriteManifest(root_dir + "/" + kManifestFileName, root);
+}
+
+/// Runs fn(0), ..., fn(n-1) across up to `workers` threads (per-shard
+/// work: recovery, bulk load) and returns the status of the lowest index
+/// that failed, whatever order the workers finished in.
+Status ForEachShard(size_t n, size_t workers,
+                    const std::function<Status(size_t)>& fn) {
+  std::vector<Status> results(n);
+  ParallelFor(n, workers, [&fn, &results](size_t i) { results[i] = fn(i); });
+  for (const Status& s : results) {
+    ENDURE_RETURN_IF_ERROR(s);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -139,23 +153,17 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
   // failed open leaks nothing and leaves the deployment reopenable.
   std::vector<std::unique_ptr<Shard>> slots(
       static_cast<size_t>(opts.num_shards));
-  std::vector<Status> results(static_cast<size_t>(opts.num_shards));
   const size_t workers =
       opts.recovery_threads > 0
           ? static_cast<size_t>(opts.recovery_threads)
           : std::min(static_cast<size_t>(opts.num_shards),
                      DefaultParallelism());
   ShardedDB* raw = db.get();
-  ParallelFor(static_cast<size_t>(opts.num_shards), workers,
-              [raw, &opts, &slots, &results](size_t i) {
-                results[i] = raw->RecoverShard(opts, static_cast<int>(i),
-                                               &slots[i]);
-              });
-  // Deterministic first-error propagation: always the lowest-numbered
-  // failing shard, whatever order the workers finished in.
-  for (const Status& s : results) {
-    ENDURE_RETURN_IF_ERROR(s);
-  }
+  ENDURE_RETURN_IF_ERROR(ForEachShard(
+      static_cast<size_t>(opts.num_shards), workers,
+      [raw, &opts, &slots](size_t i) {
+        return raw->RecoverShard(opts, static_cast<int>(i), &slots[i]);
+      }));
   for (auto& shard : slots) db->shards_.push_back(std::move(shard));
 
   // Resume interrupted work: shards that recovered mid-migration (or
@@ -550,22 +558,27 @@ Status ShardedDB::BulkLoad(
     parts[ShardForKey(key)].push_back(
         Entry{key, /*seq=*/0, value, EntryType::kValue});
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (parts[s].empty()) continue;
-    Shard* shard = shards_[s].get();
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // Re-check emptiness under the shard lock: a Put racing BulkLoad must
-    // surface as this error (possibly after other shards loaded), never
-    // as the tree's empty-precondition abort.
-    if (shard->tree->TotalEntries() != 0) {
-      return Status::FailedPrecondition(
-          "BulkLoad raced a concurrent write; shard no longer empty");
-    }
-    // A failed shard load stays empty (all-or-nothing per shard); the
-    // caller may retry the whole load after clearing the loaded shards.
-    ENDURE_RETURN_IF_ERROR(shard->tree->BulkLoad(parts[s]));
-  }
-  return Status::OK();
+  // Shards load concurrently, as Open recovers them: each has its own
+  // tree, page store and manifest, so the load takes the slowest shard's
+  // time rather than the sum.
+  return ForEachShard(
+      shards_.size(), std::min(shards_.size(), DefaultParallelism()),
+      [this, &parts](size_t s) {
+        if (parts[s].empty()) return Status::OK();
+        Shard* shard = shards_[s].get();
+        std::lock_guard<std::mutex> lock(shard->mu);
+        // Re-check emptiness under the shard lock: a Put racing BulkLoad
+        // must surface as this error (possibly after other shards
+        // loaded), never as the tree's empty-precondition abort.
+        if (shard->tree->TotalEntries() != 0) {
+          return Status::FailedPrecondition(
+              "BulkLoad raced a concurrent write; shard no longer empty");
+        }
+        // A failed shard load stays empty (all-or-nothing per shard); the
+        // caller may retry the whole load after clearing the loaded
+        // shards.
+        return shard->tree->BulkLoad(parts[s]);
+      });
 }
 
 Status ShardedDB::ApplyTuning(const Options& new_options) {

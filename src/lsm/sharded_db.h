@@ -169,7 +169,11 @@ class ShardedDB {
 
   /// Bulk loads strictly-ascending (key, value) pairs into empty shards,
   /// routing each pair to its shard (each shard's subsequence stays
-  /// strictly ascending).
+  /// strictly ascending). Shards load concurrently on up to
+  /// min(num_shards, hardware threads) workers. Each shard is
+  /// all-or-nothing: it ends fully loaded or empty. On failure, returns
+  /// the error of the lowest-numbered failing shard; other shards may
+  /// have loaded.
   Status BulkLoad(const std::vector<std::pair<Key, Value>>& sorted_pairs);
 
   /// Aggregated statistics across all shards: a lock-free relaxed

@@ -16,6 +16,7 @@
 
 #include "lsm/sharded_db.h"
 #include "util/env.h"
+#include "util/fault_injection.h"
 #include "util/status.h"
 
 namespace endure::lsm {
@@ -276,6 +277,143 @@ TEST(CorruptionTest, MergeOverRottedPageLatchesAndInstallsNothing) {
   for (Key k = 4; k < 64; ++k) {
     ASSERT_EQ(db->Get(k).value_or(0), k + 100) << k;
   }
+}
+
+// ---- damage in the middle of a file-backend extent ----
+//
+// The file backend moves 37 pages (B = 4) per pread or pwrite. These
+// deployments hold one 64-page run of keys [0, 256) — two extents — and
+// damage page 20, in the middle of the first: the damage must still hit
+// exactly the reader that reaches page 20.
+
+constexpr Key kExtentRunKeys = 256;
+constexpr size_t kExtentRunPages = 64;
+constexpr size_t kMidExtentPage = 20;  // keys 80..83
+
+Options ExtentOpts(const std::string& dir) {
+  Options o = DurableOpts(dir);
+  o.buffer_entries = kExtentRunKeys;  // one flush writes the whole run
+  return o;
+}
+
+constexpr std::streamoff kPageDiskBytes =
+    4 * FilePageStore::kEntryBytes + FilePageStore::kPageFooterBytes;
+
+/// The deployment's one segment file, checked to be the 64-page run.
+std::string OnlySegment(const std::string& dir) {
+  const std::vector<std::string> segs = SegmentFiles(dir);
+  EXPECT_EQ(segs.size(), 1u);
+  if (segs.size() != 1) return "";
+  EXPECT_EQ(std::filesystem::file_size(segs.front()),
+            static_cast<uintmax_t>(kExtentRunPages * kPageDiskBytes));
+  return segs.front();
+}
+
+void RotPage(const std::string& segment, size_t page) {
+  FlipByte(segment, static_cast<std::streamoff>(page) * kPageDiskBytes + 4);
+}
+
+TEST(CorruptionTest, RotMidExtentFailsRecoveryScrubAtThatPage) {
+  const Options opts = ExtentOpts(FreshDir("extent_scrub"));
+  SeedDeployment(opts, kExtentRunKeys);
+  const std::string seg = OnlySegment(opts.storage_dir);
+  ASSERT_FALSE(seg.empty());
+  RotPage(seg, kMidExtentPage);
+
+  auto reopened = ShardedDB::Open(opts);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find("page 20 of"),
+            std::string::npos)
+      << reopened.status().message();
+}
+
+TEST(CorruptionTest, ScanReachingRotMidExtentFailsAndLatches) {
+  const Options opts = ExtentOpts(FreshDir("extent_scan"));
+  SeedDeployment(opts, kExtentRunKeys);
+  auto opened = ShardedDB::Open(opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::unique_ptr<ShardedDB> db = std::move(opened).value();
+  const std::string seg = OnlySegment(opts.storage_dir);
+  ASSERT_FALSE(seg.empty());
+  RotPage(seg, kMidExtentPage);
+
+  // A scan that ends just before the rotted page reads only up to its
+  // bound, though the page sits in the same on-disk extent.
+  uint64_t before = db->TotalStats().range_pages_read.load();
+  const StatusOr<std::vector<Entry>> clean = db->Scan(0, 80);
+  ASSERT_TRUE(clean.ok()) << clean.status().message();
+  EXPECT_EQ(clean->size(), 80u);
+  EXPECT_EQ(db->TotalStats().range_pages_read.load() - before, 20u);
+  EXPECT_TRUE(db->Health().ok());
+
+  // A scan across it serves pages 0..19, then fails on page 20.
+  before = db->TotalStats().range_pages_read.load();
+  const StatusOr<std::vector<Entry>> damaged = db->Scan(0, 200);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption)
+      << damaged.status().message();
+  EXPECT_EQ(db->TotalStats().range_pages_read.load() - before, 20u);
+  EXPECT_EQ(db->Health().code(), StatusCode::kCorruption);
+  EXPECT_EQ(db->TotalStats().checksum_failures.load(), 1u);
+}
+
+TEST(CorruptionTest, MergeReachingRotMidExtentLatchesAndInstallsNothing) {
+  const Options opts = ExtentOpts(FreshDir("extent_merge"));
+  SeedDeployment(opts, kExtentRunKeys);
+  auto opened = ShardedDB::Open(opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::unique_ptr<ShardedDB> db = std::move(opened).value();
+  const std::string seg = OnlySegment(opts.storage_dir);
+  ASSERT_FALSE(seg.empty());
+  RotPage(seg, kMidExtentPage);
+
+  // The next flush merges into the damaged run and reads every page of
+  // it: the write that triggers it is refused with the checksum status.
+  Status first_error;
+  Key next = 1000;
+  for (; next < 1000 + 2 * kExtentRunKeys; ++next) {
+    first_error = db->Put(next, next);
+    if (!first_error.ok()) break;
+  }
+  ASSERT_FALSE(first_error.ok()) << "no merge read the rotted page";
+  EXPECT_EQ(first_error.code(), StatusCode::kCorruption)
+      << first_error.message();
+  EXPECT_NE(first_error.message().find("page 20 of"), std::string::npos)
+      << first_error.message();
+  EXPECT_EQ(db->Health().code(), StatusCode::kCorruption);
+  // Nothing was installed: the damaged run still serves every page but
+  // the rotted one, including the pages behind it in its extent, and
+  // the acked writes are still served from memory.
+  for (Key k = 0; k < kExtentRunKeys; ++k) {
+    if (k / 4 == kMidExtentPage) continue;
+    ASSERT_EQ(db->Get(k).value_or(0), k + 100) << k;
+  }
+  for (Key k = 1000; k < next; ++k) {
+    ASSERT_EQ(db->Get(k).value_or(0), k) << k;
+  }
+}
+
+TEST(CorruptionTest, TornPageStagedBetweenCleanPagesFailsReopen) {
+  // Page 20 of the flush tears silently (half of it reaches the file)
+  // while pages 0..19 are staged in the writer's extent buffer. The
+  // flush succeeds — only a checksum can see a silent tear — and the
+  // reopen's scrub refuses the deployment at exactly that page.
+  const Options opts = ExtentOpts(FreshDir("extent_torn"));
+  {
+    ScopedFaultInjector fi;
+    fi->Arm(FaultSite::kSegmentWrite, {.skip = kMidExtentPage,
+                                       .short_io = true});
+    SeedDeployment(opts, kExtentRunKeys);
+    EXPECT_EQ(fi->fired(FaultSite::kSegmentWrite), 1u);
+  }
+  ASSERT_FALSE(OnlySegment(opts.storage_dir).empty());
+  auto reopened = ShardedDB::Open(opts);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find("page 20 of"),
+            std::string::npos)
+      << reopened.status().message();
 }
 
 TEST(CorruptionTest, UndamagedDeploymentScrubsClean) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 
 #include "util/random.h"
 
@@ -102,6 +104,60 @@ TEST(SkipListTest, TombstonesStored) {
   list.Upsert(Entry{5, 1, 0, EntryType::kTombstone});
   ASSERT_NE(list.Find(5), nullptr);
   EXPECT_TRUE(list.Find(5)->is_tombstone());
+}
+
+TEST(SkipListTest, ConcurrentReadersFindEveryPublishedKey) {
+  // One writer inserts keys in descending order, so every insert links a
+  // new node right behind the head, in front of the newest key; after
+  // each insert it publishes how many keys are in (release). Two readers
+  // spin on that watermark (acquire) and probe the newest published key —
+  // the one whose level-0 predecessor the writer is relinking — plus an
+  // older one. Every published key must be found, and Seek must never
+  // land below its target.
+  constexpr Key kKeys = 200000;
+  SkipList list;
+  std::atomic<uint64_t> published{0};
+  std::atomic<int> ready{0};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> checks{0};
+
+  auto reader = [&](uint64_t seed) {
+    Rng rng(seed);
+    ready.fetch_add(1);
+    uint64_t local_misses = 0;
+    uint64_t local_checks = 0;
+    uint64_t seen;
+    do {
+      seen = published.load(std::memory_order_acquire);
+      if (seen == 0) continue;
+      const Key newest = kKeys - (seen - 1);
+      const Key older = newest + rng.Next() % seen;
+      for (const Key k : {newest, older}) {
+        const Entry* e = list.Find(k);
+        local_misses += e == nullptr || e->key != k || e->value != 10 * k;
+      }
+      SkipList::Iterator it = list.NewIterator();
+      it.Seek(newest);
+      local_misses += !it.Valid() || it.entry().key != newest;
+      local_checks += 3;
+    } while (seen < kKeys);
+    misses.fetch_add(local_misses);
+    checks.fetch_add(local_checks);
+  };
+
+  std::thread r1(reader, 11);
+  std::thread r2(reader, 12);
+  while (ready.load() < 2) std::this_thread::yield();
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    const Key k = kKeys - i;
+    list.Upsert(Val(k, i + 1, 10 * k));
+    published.store(i + 1, std::memory_order_release);
+  }
+  r1.join();
+  r2.join();
+  EXPECT_EQ(misses.load(), 0u)
+      << "published keys missed in " << checks.load() << " checks";
+  EXPECT_GT(checks.load(), 0u);
 }
 
 TEST(MemTableTest, CapacityTracking) {

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "lsm/sharded_db.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 
 namespace endure::lsm {
@@ -118,6 +121,51 @@ TEST(ShardedDbTest, BulkLoadRoutesAndServes) {
     EXPECT_FALSE(db->Get(2 * v + 1).has_value());
   }
   EXPECT_FALSE(db->BulkLoad(pairs).ok());  // non-empty now
+}
+
+TEST(ShardedDbFaultInjectionTest, FailedBulkLoadLeavesEachShardFullOrEmpty) {
+  // Shards load concurrently, so which shard's writes the fault schedule
+  // reaches first depends on the workers' interleaving. Whatever it is,
+  // every shard ends fully loaded or empty, and the error returned is
+  // the lowest-numbered failing shard's (its segment path names it).
+  const std::string dir = "/tmp/endure_sharded_db_bulk_fault";
+  std::vector<std::pair<Key, Value>> pairs;
+  for (uint64_t i = 0; i < 4000; ++i) pairs.emplace_back(2 * i, i);
+  for (const uint64_t skip : {0, 100, 400}) {
+    SCOPED_TRACE(skip);
+    std::filesystem::remove_all(dir);
+    Options o = ShardOpts(4, false, StorageBackend::kFile);
+    o.storage_dir = dir;
+    o.durability = true;
+    auto db = std::move(ShardedDB::Open(o)).value();
+    std::vector<uint64_t> expected(4, 0);
+    for (const auto& [key, value] : pairs) ++expected[db->ShardForKey(key)];
+
+    Status st;
+    {
+      ScopedFaultInjector fi;
+      fi->Arm(FaultSite::kSegmentWrite,
+              {.skip = skip, .count = UINT64_MAX, .err = EIO});
+      st = db->BulkLoad(pairs);
+    }
+    ASSERT_FALSE(st.ok());
+    int lowest_failed = -1;
+    for (size_t s = 0; s < 4; ++s) {
+      const uint64_t n = db->shard_tree(s).TotalEntries();
+      EXPECT_TRUE(n == 0 || n == expected[s])
+          << "shard " << s << " holds " << n << " of " << expected[s];
+      if (n == 0 && lowest_failed < 0) lowest_failed = static_cast<int>(s);
+    }
+    ASSERT_GE(lowest_failed, 0);
+    EXPECT_NE(st.message().find("/shard_" + std::to_string(lowest_failed) +
+                                "/seg_"),
+              std::string::npos)
+        << st.message();
+    for (const auto& [key, value] : pairs) {
+      if (db->shard_tree(db->ShardForKey(key)).TotalEntries() == 0) continue;
+      ASSERT_EQ(db->Get(key).value_or(~Value{0}), value) << key;
+    }
+  }
 }
 
 // --- concurrency stress ----------------------------------------------------

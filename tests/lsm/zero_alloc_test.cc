@@ -1,7 +1,10 @@
 // Pins the zero-allocation guarantee of the buffered read path: after
-// warm-up, a point lookup through ShardedDB on the memory backend must
-// perform no heap allocations at all. Lives in its own test binary
-// because it replaces the global allocator to count allocations.
+// warm-up, a point lookup through ShardedDB must perform no heap
+// allocations at all, on the memory backend and on the file backend with
+// the block cache on or off; and a scan's allocations must not grow with
+// the pages it reads. Lives in its own test binary because it replaces
+// the global allocator (operator new and aligned_alloc, which the file
+// backend's extent buffers come from) to count allocations.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +39,13 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+extern "C" void* aligned_alloc(std::size_t alignment,
+                               std::size_t size) noexcept {
+  CountAlloc();
+  void* p = nullptr;
+  return posix_memalign(&p, alignment, size) == 0 ? p : nullptr;
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -56,12 +66,17 @@ class AllocationScope {
   }
 };
 
-std::unique_ptr<ShardedDB> LoadedDb(uint64_t n) {
+std::unique_ptr<ShardedDB> LoadedDb(
+    uint64_t n, StorageBackend backend = StorageBackend::kMemory,
+    uint64_t block_cache_bytes = 0) {
   Options o;
   o.size_ratio = 4;
   o.buffer_entries = 64;
   o.entries_per_page = 8;
   o.filter_bits_per_entry = 8.0;
+  o.backend = backend;
+  o.storage_dir = "/tmp/endure_zero_alloc_test";
+  o.block_cache_bytes = block_cache_bytes;
   auto db = ShardedDB::Open(o);
   EXPECT_TRUE(db.ok());
   std::vector<std::pair<Key, Value>> pairs;
@@ -110,6 +125,77 @@ TEST(ZeroAllocTest, ScanAllocationsAreBoundedByOutput) {
   // small constant per qualifying run, not per page or per entry.
   EXPECT_LT(allocs, 100u * 40u)
       << "scan path allocates per page or per entry";
+}
+
+/// The file backend with the block cache off, and on at a size that holds
+/// the whole data set (~640 KB decoded), so that after warm-up every page
+/// a lookup reads is a cache hit. Admitting a page to the cache allocates
+/// (index and slot bookkeeping), so the cache-on legs pin the warm state.
+constexpr uint64_t kCacheSizes[] = {0, 4 << 20};
+
+TEST(ZeroAllocTest, FilePointLookupsAllocateNothing) {
+  for (const uint64_t cache_bytes : kCacheSizes) {
+    SCOPED_TRACE(cache_bytes);
+    auto db = LoadedDb(20000, StorageBackend::kFile, cache_bytes);
+    auto probe = [&db](Key k) {
+      const bool hit = db->Get((2 * k * 7) % 40000).has_value();
+      db->Get(2 * k + 1);  // guaranteed miss
+      return hit;
+    };
+    // Warm up: the store's buffer pool, this thread's page scratch and,
+    // with the cache on, every page the counted lookups read.
+    for (Key k = 0; k < 2000; ++k) probe(k);
+    const Statistics before = db->TotalStats();
+    uint64_t hits = 0;
+    uint64_t allocs = 0;
+    {
+      AllocationScope scope;
+      for (Key k = 0; k < 2000; ++k) hits += probe(k) ? 1 : 0;
+      allocs = scope.allocations();
+    }
+    EXPECT_EQ(allocs, 0u) << "file-backed Get path must not allocate";
+    EXPECT_EQ(hits, 2000u);
+    const Statistics delta = db->TotalStats().Delta(before);
+    if (cache_bytes == 0) {
+      EXPECT_GE(delta.point_pages_read, 2000u);  // every hit preads
+    } else {
+      EXPECT_GE(delta.cache_hits, 2000u);
+      EXPECT_EQ(delta.cache_misses, 0u);
+    }
+  }
+}
+
+TEST(ZeroAllocTest, FileScanAllocationsDoNotGrowWithPagesRead) {
+  for (const uint64_t cache_bytes : kCacheSizes) {
+    SCOPED_TRACE(cache_bytes);
+    auto db = LoadedDb(20000, StorageBackend::kFile, cache_bytes);
+    (void)db->Scan(0, 40000);  // warm up the buffer pool and the cache
+    // Pages a scan reaches: read from the file, or served by the cache.
+    auto measure = [&db](Key hi, uint64_t* pages) {
+      const Statistics before = db->TotalStats();
+      uint64_t allocs = 0;
+      {
+        AllocationScope scope;
+        EXPECT_EQ(db->Scan(0, hi).value().size(), hi / 2);
+        allocs = scope.allocations();
+      }
+      const Statistics delta = db->TotalStats().Delta(before);
+      *pages = delta.range_pages_read + delta.cache_hits;
+      return allocs;
+    };
+    uint64_t short_pages = 0;
+    uint64_t long_pages = 0;
+    const uint64_t short_allocs = measure(800, &short_pages);
+    const uint64_t long_allocs = measure(40000, &long_pages);
+    ASSERT_GE(long_pages, 20 * short_pages);
+    // Both scans open one reader per run. The long one reads ~2000 more
+    // pages (over 100 more extents of 19 pages), yet may allocate only
+    // for its larger result vector: ~6 more doublings.
+    EXPECT_LE(long_allocs, short_allocs + 8)
+        << "scan allocates per page or per extent: " << short_allocs
+        << " allocations for " << short_pages << " pages, " << long_allocs
+        << " for " << long_pages;
+  }
 }
 
 }  // namespace

@@ -115,7 +115,11 @@ TEST(FaultInjectionTest, SiteNamesAreDistinct) {
 class WriteFileAtomicFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/endure_fault_injection_test_atomic";
+    // One directory per test: ctest runs these cases as concurrent
+    // processes, and a shared directory let one case's remove_all race
+    // another's files.
+    dir_ = std::string("/tmp/endure_fault_injection_test_atomic_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     ASSERT_TRUE(EnsureDir(dir_).ok());
     path_ = dir_ + "/target";
