@@ -3,11 +3,11 @@
 // write-heavy workload (memory backend, small buffer so flushes and
 // merges churn constantly):
 //
-//   inline      background_maintenance off — every flush and the cascade
-//               it triggers run on the writing thread, under its lock.
+//   inline      background_maintenance off — every flush and the merges
+//               it starts run on the writing thread, under its lock.
 //   background  the scheduler path — prepare/install under the shard
 //               lock, merge I/O off it, with write backpressure instead
-//               of inline cascades.
+//               of inline merges.
 //
 // Reported per leg: put throughput, p50/p99/p999 single-put latency (ns)
 // and the scheduler/stall counters (write_stalls, compaction_stall_ms,

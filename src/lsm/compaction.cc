@@ -308,7 +308,7 @@ StatusOr<std::shared_ptr<Run>> MergePartitioned(
 
 }  // namespace
 
-StatusOr<std::shared_ptr<Run>> MergeRunsEx(
+StatusOr<std::shared_ptr<Run>> MergeRuns(
     PageStore* store, const std::vector<std::shared_ptr<Run>>& inputs,
     double bits_per_entry, bool drop_tombstones, const MergeLimits& limits) {
   ENDURE_CHECK(store != nullptr);
@@ -327,13 +327,6 @@ StatusOr<std::shared_ptr<Run>> MergeRunsEx(
   }
   return MergeSequential(store, inputs, bits_per_entry, drop_tombstones,
                          limits.limiter);
-}
-
-StatusOr<std::shared_ptr<Run>> MergeRuns(
-    PageStore* store, const std::vector<std::shared_ptr<Run>>& inputs,
-    double bits_per_entry, bool drop_tombstones) {
-  return MergeRunsEx(store, inputs, bits_per_entry, drop_tombstones,
-                     MergeLimits{});
 }
 
 }  // namespace endure::lsm

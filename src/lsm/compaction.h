@@ -90,20 +90,18 @@ struct MergeLimits {
 /// (all-tombstone merge at the bottom level). An error — a failed input
 /// page read (I/O or checksum) or a failed output write — abandons the
 /// partial output run and leaves the inputs untouched.
-StatusOr<std::shared_ptr<Run>> MergeRuns(
-    PageStore* store, const std::vector<std::shared_ptr<Run>>& inputs,
-    double bits_per_entry, bool drop_tombstones);
-
-/// MergeRuns under execution controls. When `limits` asks for partitioning
-/// and the merge is large enough, the key space is cut at fence-pointer
+///
+/// `limits` throttles the merge, and when it asks for partitioning and
+/// the merge is large enough, the key space is cut at fence-pointer
 /// boundaries of the largest input and the partitions merge in parallel
 /// (each staging its slice in memory), then stream in key order through
 /// one RunBuilder — the result is a single run, byte-identical in content
 /// to the unpartitioned merge. Partitioned merges bump
 /// Statistics::compactions_partitioned / compaction_subtasks.
-StatusOr<std::shared_ptr<Run>> MergeRunsEx(
+StatusOr<std::shared_ptr<Run>> MergeRuns(
     PageStore* store, const std::vector<std::shared_ptr<Run>>& inputs,
-    double bits_per_entry, bool drop_tombstones, const MergeLimits& limits);
+    double bits_per_entry, bool drop_tombstones,
+    const MergeLimits& limits = {});
 
 }  // namespace endure::lsm
 

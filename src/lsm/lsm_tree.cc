@@ -203,160 +203,36 @@ Status LsmTree::SealMemtable() {
   return Status::OK();
 }
 
-Status LsmTree::FlushBuffer(const MemTable& buffer) {
-  ++stats_->flushes;
-  const int depth = std::max(DeepestLevel(), 1);
-  // Stream straight out of the skiplist; no intermediate dump vector.
-  RunBuilder builder(store_, FilterBitsForLevel(1, depth), IoContext::kFlush);
-  for (SkipList::Iterator it = buffer.NewIterator(); it.Valid(); it.Next()) {
-    ENDURE_RETURN_IF_ERROR(builder.Add(it.entry()));
-  }
-  StatusOr<std::shared_ptr<Run>> run_or = builder.Finish();
-  ENDURE_RETURN_IF_ERROR(run_or.status());
-  std::shared_ptr<Run> run = std::move(*run_or);
-  Stamp(run);
-  return AddRunToLevel(std::move(run), 1);
-}
-
-Status LsmTree::FlushSealedInternal() {
-  // Detach before flushing so the invariant "sealed_ is full" never sees
-  // a half-flushed buffer; entries stay reachable via the new run. On
-  // failure AddRunToLevel guarantees nothing new is resident, so putting
-  // the buffer back makes the failed flush a clean no-op.
-  std::shared_ptr<MemTable> buffer = std::move(sealed_);
-  const Status s = FlushBuffer(*buffer);
-  if (!s.ok()) sealed_ = std::move(buffer);
-  // No snapshot is published mid-flush, so readers saw the pre-flush
-  // view throughout: within any one snapshot the buffer and its run
-  // never coexist. Publish the outcome (success or exact rollback) once.
-  PublishSnapshot();
-  return s;
-}
-
 Status LsmTree::Flush() {
   ENDURE_RETURN_IF_ERROR(Health());
-  if (sealed_ == nullptr && active_->empty()) return Status::OK();
-  // Later writes log to a fresh generation, so the flushed buffers'
-  // generations retire whole once the manifest lands.
-  if (!active_->empty()) ENDURE_RETURN_IF_ERROR(RotateWal());
-  // Age order: the sealed buffer predates the active one, so its run must
-  // land on level 1 first (runs within a level are newest-first).
-  if (sealed_ != nullptr) ENDURE_RETURN_IF_ERROR(FlushSealedInternal());
-  if (!active_->empty()) {
-    const Status s = FlushBuffer(*active_);
-    if (s.ok()) {
-      // Swap, never Clear: concurrent snapshot readers may still hold
-      // the old buffer — its entries stay readable there until the last
-      // reader drops it, and in the new run for everyone after.
-      active_ = std::make_shared<MemTable>(EffectiveBufferCapacity());
-      active_wal_gen_ = wal_gen_;
-    }
-    PublishSnapshot();
-    ENDURE_RETURN_IF_ERROR(s);
-  }
-  return PublishManifestIfDurable();
+  // Age order: an older sealed buffer lands, with the merges it starts,
+  // before the active one is sealed behind it.
+  if (sealed_ != nullptr) ENDURE_RETURN_IF_ERROR(DrainMaintenance());
+  if (!active_->empty()) ENDURE_RETURN_IF_ERROR(SealMemtable());
+  return DrainMaintenance();
 }
 
-Status LsmTree::AddRunToLevel(std::shared_ptr<Run> run, int level) {
-  EnsureLevel(level);
-  auto& runs = levels_[level - 1];
-
-  // Lazy leveling: the current bottom level behaves like leveling (one
-  // eagerly-merged run); all levels above it tier. The rule is
-  // self-organizing — when data is pushed deeper, the old bottom starts
-  // tiering automatically.
-  const bool act_as_leveling =
-      opts_.policy == CompactionPolicy::kLeveling ||
-      (opts_.policy == CompactionPolicy::kLazyLeveling &&
-       NothingBelow(level));
-
-  // Failure discipline throughout: resident runs are only cleared AFTER
-  // every fallible step that replaces them has succeeded, so an error at
-  // any point leaves the level exactly as it was and the incoming run
-  // un-installed (its entries stay owned by the caller's source).
-  // migration_pending_ is raised on the way out so maintenance retries
-  // the consolidation once the fault clears.
-  if (act_as_leveling) {
-    // Greedy sort-merge with the resident run(s). Pure leveling keeps one
-    // run per level; under lazy leveling a level that just became the
-    // bottom may still hold several tiered runs — fold them all in.
-    if (!runs.empty()) {
-      ++stats_->compactions;
-      const bool drop = NothingBelow(level);
-      const int depth = std::max(DeepestLevel(),
-                                 ProjectedDepth(TotalEntries()));
-      std::vector<std::shared_ptr<Run>> inputs;
-      inputs.reserve(runs.size() + 1);
-      inputs.push_back(run);
-      for (auto& r : runs) inputs.push_back(r);  // newest first already
-      StatusOr<std::shared_ptr<Run>> merged_or = MergeRuns(
-          store_, inputs, FilterBitsForLevel(level, depth), drop);
-      if (!merged_or.ok()) {
-        migration_pending_ = true;
-        return merged_or.status();
-      }
-      std::shared_ptr<Run> merged = std::move(*merged_or);
-      if (merged == nullptr) {  // everything consolidated away
-        runs.clear();
-        return Status::OK();
-      }
-      Stamp(merged);
-      if (merged->num_entries() > LevelCapacity(level)) {
-        // Overflow: the merged run descends. Recurse while the old runs
-        // are still resident — only a fully-installed cascade may retire
-        // them. (The transient double residency is invisible: no reads
-        // interleave, and manifests publish only after the cascade.)
-        // The recursion may grow levels_ and reallocate it, so `runs` is
-        // dangling afterwards — re-index instead of touching it.
-        const Status s = AddRunToLevel(std::move(merged), level + 1);
-        if (!s.ok()) {
-          migration_pending_ = true;
-          return s;
-        }
-        levels_[level - 1].clear();
-        return Status::OK();
-      }
-      runs.clear();
-      runs.push_back(std::move(merged));
-      return Status::OK();
+Status LsmTree::DrainMaintenance() {
+  // Each capture carries every install before it, so only the newest is
+  // written — also when a later unit fails, so what did install is not
+  // left ahead of the manifest.
+  MaintenanceUnit last;
+  Status s;
+  for (;;) {
+    MaintenanceUnit unit = PrepareMaintenance();
+    if (unit.kind == MaintenanceUnit::Kind::kNone) {
+      // A latched tree prepares nothing too: report it, so no caller
+      // mistakes the stop for a drained tree.
+      s = Health();
+      break;
     }
-    // Overflow of a lone incoming run: it moves down and merges there.
-    if (run->num_entries() > LevelCapacity(level)) {
-      return AddRunToLevel(std::move(run), level + 1);
-    }
-    runs.push_back(std::move(run));
-    return Status::OK();
+    s = ExecuteMaintenance(&unit, MergeLimits{});
+    if (s.ok()) s = InstallMaintenance(&unit);
+    if (!s.ok()) break;
+    if (unit.publication.has_value()) last = std::move(unit);
   }
-
-  // Tiering: accumulate runs; the T-th arrival merges the whole level into
-  // one run on the next level down.
-  runs.insert(runs.begin(), std::move(run));  // newest first
-  if (static_cast<int>(runs.size()) >= opts_.size_ratio) {
-    ++stats_->compactions;
-    const bool drop = NothingBelow(level);
-    const int depth =
-        std::max(DeepestLevel(), ProjectedDepth(TotalEntries()));
-    StatusOr<std::shared_ptr<Run>> merged_or = MergeRuns(
-        store_, runs, FilterBitsForLevel(level + 1, depth), drop);
-    Status s = merged_or.status();
-    if (s.ok() && *merged_or != nullptr) {
-      Stamp(*merged_or);
-      s = AddRunToLevel(std::move(*merged_or), level + 1);
-    }
-    // The recursion above may grow levels_ and reallocate it, so `runs`
-    // is dangling here — re-index this level for every access below.
-    if (!s.ok()) {
-      // Take the incoming back out before reporting failure: it must not
-      // be resident here AND restored by the caller (double residency
-      // would record the segment twice in the next manifest).
-      auto& lvl = levels_[level - 1];
-      lvl.erase(lvl.begin());
-      migration_pending_ = true;
-      return s;
-    }
-    levels_[level - 1].clear();
-  }
-  return Status::OK();
+  const Status published = PublishMaintenance(&last);
+  return s.ok() ? published : s;
 }
 
 std::optional<Value> LsmTree::Get(Key key) {
@@ -593,7 +469,7 @@ Status LsmTree::Reconfigure(const Options& new_options) {
   ++tuning_epoch_;
   ++stats_->reconfigurations;
   // Conservatively assume the structure must be revisited; the first
-  // AdvanceMigration call that finds every level conforming clears it.
+  // PrepareMaintenance that finds every level conforming clears it.
   migration_pending_ = true;
 
   // Retarget the seal threshold; an over-full buffer is handled like a
@@ -605,13 +481,7 @@ Status LsmTree::Reconfigure(const Options& new_options) {
   // supersedes any arbiter override of the threshold.
   buffer_capacity_override_ = 0;
   active_->set_capacity(opts_.buffer_entries);
-  if (active_->IsFull()) {
-    if (!opts_.background_maintenance) {
-      ENDURE_RETURN_IF_ERROR(Flush());
-    } else if (sealed_ == nullptr) {
-      ENDURE_RETURN_IF_ERROR(SealMemtable());
-    }
-  }
+  ENDURE_RETURN_IF_ERROR(MaintainAfterWrite());
   // Republish even when nothing sealed or flushed: the snapshot carries
   // the tuning epoch and the fence-skip flag readers consult.
   PublishSnapshot();
@@ -737,8 +607,8 @@ Status LsmTree::ExecuteMaintenance(MaintenanceUnit* unit,
       }
       ++stats_->compactions;
       StatusOr<std::shared_ptr<Run>> merged_or =
-          MergeRunsEx(store_, unit->inputs, unit->bits_per_entry,
-                      unit->drop_tombstones, limits);
+          MergeRuns(store_, unit->inputs, unit->bits_per_entry,
+                    unit->drop_tombstones, limits);
       ENDURE_RETURN_IF_ERROR(merged_or.status());
       unit->output = std::move(*merged_or);  // null = consolidated away
       return Status::OK();
@@ -769,8 +639,8 @@ Status LsmTree::InstallMaintenance(MaintenanceUnit* unit) {
     auto& l1 = levels_[0];
     l1.insert(l1.begin(), std::move(unit->output));  // newest first
     sealed_.reset();
-    // The cascade continues stepwise: if level 1 stopped conforming, the
-    // next prepared unit merges it.
+    // Merges continue stepwise: if level 1 stopped conforming, the next
+    // prepared unit merges it.
     PublishSnapshot();
   } else if (unit->kind == MaintenanceUnit::Kind::kCompaction) {
     if (!InstallCompaction(unit)) {
@@ -793,7 +663,7 @@ bool LsmTree::InstallCompaction(MaintenanceUnit* unit) {
   // The snapshot must still be resident as the OLDEST runs of the level
   // (a racing flush install may have prepended newer ones — fine, the
   // output slots in behind them). Anything else means a foreground
-  // cascade rewrote the level: discard.
+  // drain rewrote the level: discard.
   const int level = unit->level;
   if (level > static_cast<int>(levels_.size())) return false;
   auto& runs = levels_[level - 1];
@@ -844,63 +714,6 @@ Status LsmTree::PublishMaintenance(MaintenanceUnit* unit) {
   // once CrashForTesting may reset wal_.)
   if (s.ok() && wal_ != nullptr) wal_->PrepareRotation();
   return s;
-}
-
-Status LsmTree::AdvanceMigration(bool* did_work) {
-  *did_work = false;
-  ENDURE_RETURN_IF_ERROR(Health());
-  if (!migration_pending_) return Status::OK();
-  for (int level = 1; level <= static_cast<int>(levels_.size()); ++level) {
-    if (LevelConforms(level)) continue;
-    // Detach the level's runs but keep `inputs` alive until the step has
-    // fully succeeded: AddRunToLevel's failure contract (nothing new
-    // resident) makes `levels_[level-1] = std::move(inputs)` an exact
-    // rollback, so a failed step is a retryable no-op.
-    std::vector<std::shared_ptr<Run>> inputs =
-        std::move(levels_[level - 1]);
-    levels_[level - 1].clear();
-    ++stats_->migration_steps;
-    Status s;
-    if (inputs.size() == 1) {
-      // A single over-capacity run: push it down without rewriting here
-      // (it keeps its build epoch); AddRunToLevel merges it into the
-      // destination (and cascades) if that level is occupied. Pass a
-      // copy of the shared_ptr — `inputs` keeps the run for rollback.
-      s = AddRunToLevel(inputs.front(), level + 1);
-    } else {
-      // Fold the level into one run under the new tuning. AddRunToLevel
-      // re-applies the policy rules at this level: the run stays if it
-      // now conforms, or descends and merges deeper if it overflows.
-      ++stats_->compactions;
-      const bool drop = NothingBelow(level);
-      const int depth =
-          std::max(DeepestLevel(), ProjectedDepth(TotalEntries()));
-      StatusOr<std::shared_ptr<Run>> merged_or = MergeRuns(
-          store_, inputs, FilterBitsForLevel(level, depth), drop);
-      s = merged_or.status();
-      if (s.ok() && *merged_or != nullptr) {
-        Stamp(*merged_or);
-        s = AddRunToLevel(std::move(*merged_or), level);
-      }
-    }
-    if (!s.ok()) {
-      levels_[level - 1] = std::move(inputs);
-      return s;
-    }
-    PublishSnapshot();
-    // A manifest failure here is NOT rolled back: the in-memory tree is
-    // consistent and merely ahead of the (still valid) old manifest; the
-    // next successful publication catches up. Deferred segment deletes
-    // purge only after a successful publish, so the old manifest's
-    // segments remain on disk.
-    ENDURE_RETURN_IF_ERROR(PublishManifestIfDurable());
-    *did_work = true;
-    return Status::OK();
-  }
-  migration_pending_ = false;
-  // Persist the cleared flag so a reopen does not re-scan a conforming
-  // tree (reached once per migration, not per maintenance poll).
-  return PublishManifestIfDurable();
 }
 
 MigrationProgress LsmTree::Progress() const {

@@ -44,8 +44,8 @@ struct LevelInfo {
 /// bumps the epoch, so entries in current-epoch runs carry the new Bloom
 /// budget while older runs keep their filters until a compaction rewrites
 /// them. Structure (run counts and level capacities under the new policy
-/// and size ratio) converges separately, one AdvanceMigration step at a
-/// time.
+/// and size ratio) converges separately, one migration-priority
+/// maintenance unit at a time.
 struct MigrationProgress {
   uint64_t epoch = 0;             ///< current tuning epoch
   uint64_t runs_total = 0;        ///< resident runs
@@ -155,7 +155,8 @@ struct ManifestPublication {
   uint64_t delete_mark = 0;  ///< FilePageStore::DeleteMark() at capture
 };
 
-/// One unit of background maintenance, produced by PrepareMaintenance()
+/// One unit of maintenance — the only way the tree flushes, compacts or
+/// migrates, whichever thread runs it — produced by PrepareMaintenance()
 /// under the owner's lock, executed (all I/O) by ExecuteMaintenance()
 /// with NO lock held, made visible by InstallMaintenance() back under
 /// the lock, and made durable by PublishMaintenance() with the lock
@@ -196,16 +197,17 @@ struct MaintenanceUnit {
 /// but Get() and Scan() are lock-free: they acquire the current
 /// ReadSnapshot with a single atomic load and never touch the shard
 /// mutex, so any number of reader threads proceed concurrently with the
-/// writer and with maintenance installs. Background maintenance follows the
-/// prepare/execute/install/publish protocol (MaintenanceUnit): only the
-/// snapshot, the run-list swap and a manifest capture happen under the
-/// owner's lock; the merge I/O and the manifest write run unlocked. With
-/// `Options::background_maintenance` the tree
-/// never flushes inline — filling the write buffer seals it into an
-/// immutable slot that stays readable (and is consulted by Get/Scan
-/// between the active buffer and the runs) until a flush unit (or an
-/// explicit Flush()) pushes it into level 1; see
-/// docs/architecture.md ("Concurrency model").
+/// writer and with maintenance installs. All flushes and compactions
+/// follow one prepare/execute/install/publish protocol (MaintenanceUnit).
+/// A scheduler runs the units with only the snapshot, the run-list swap
+/// and a manifest capture under the owner's lock; Flush() and
+/// DrainMaintenance() run the same units back to back on the calling
+/// thread. `Options::background_maintenance` decides only who runs them:
+/// with it, filling the write buffer seals it into an immutable slot that
+/// stays readable (Get/Scan consult it between the active buffer and the
+/// runs) until a flush unit pushes it into level 1; without it, the
+/// writer that fills the buffer flushes it. See docs/architecture.md
+/// ("Concurrency model").
 class LsmTree {
  public:
   /// `store` and `stats` must outlive the tree.
@@ -246,19 +248,31 @@ class LsmTree {
   StatusOr<std::vector<Entry>> Scan(Key lo, Key hi);
 
   /// Flushes the sealed buffer (if any) and then the active memtable, in
-  /// age order. Also triggered automatically when the buffer fills and
-  /// background maintenance is off. On failure the buffers keep their
-  /// entries (nothing is lost) and the call may simply be retried; the
-  /// tree is NOT latched, so maintenance owners decide the retry policy.
+  /// age order: drains the pending units (an older sealed buffer and the
+  /// merges it starts), seals the active buffer, and drains again. Also
+  /// triggered automatically when the buffer fills and background
+  /// maintenance is off. On failure nothing is lost — a buffer that did
+  /// not land stays sealed and readable, a merge that did not run leaves
+  /// its inputs resident — and the call may simply be retried; the tree
+  /// is NOT latched, so maintenance owners decide the retry policy.
   Status Flush();
+
+  /// Runs maintenance units on the calling thread until none is pending
+  /// (PrepareMaintenance, ExecuteMaintenance without limits,
+  /// InstallMaintenance), then publishes the newest manifest capture —
+  /// also when a later unit failed, since a capture covers every install
+  /// before it. The owner calls it where no scheduler runs the units (a
+  /// foreground deployment's open and retune); Flush() is built on it.
+  /// Returns the first failing unit's status (its work stays pending).
+  Status DrainMaintenance();
 
   /// True when a sealed (full, immutable, not yet flushed) buffer is
   /// pending maintenance.
   bool HasSealedMemtable() const { return sealed_ != nullptr; }
 
-  // --- background maintenance protocol (prepare/execute/install/publish)
-  // The owner (ShardedDB's compaction scheduler) drives one unit at a
-  // time per tree:
+  // --- maintenance protocol (prepare/execute/install/publish)
+  // The owner (ShardedDB's compaction scheduler, or DrainMaintenance on
+  // the calling thread) drives one unit at a time per tree:
   //   lock     -> unit = tree->PrepareMaintenance();       // snapshot
   //   unlock   -> s = tree->ExecuteMaintenance(&unit, limits);  // all I/O
   //   lock     -> if (s.ok()) s = tree->InstallMaintenance(&unit); // swap
@@ -271,8 +285,8 @@ class LsmTree {
   // discards the output (returning OK) when the tree moved on: a
   // Reconfigure bumped the epoch, a foreground Flush consumed the sealed
   // buffer, or the input runs are no longer resident. One unit makes one
-  // bounded step; HasMaintenanceWork() stays true until the cascade it
-  // begins has fully settled, so the owner just keeps scheduling.
+  // bounded step; HasMaintenanceWork() stays true until the merges it
+  // starts have fully settled, so the owner just keeps scheduling.
 
   /// Snapshots the most urgent pending unit: the sealed buffer (flush),
   /// else the shallowest non-conforming level (compaction), else a
@@ -347,12 +361,12 @@ class LsmTree {
   ///   filters until a compaction rewrites them (tracked by tuning epoch).
   /// - A buffer_entries change retargets the active memtable's seal
   ///   threshold immediately; an over-full buffer is sealed (background
-  ///   mode) or flushed inline, exactly like a filling write.
-  /// - size_ratio / policy changes are realized incrementally: the next
-  ///   flush into any level applies the new merge rules there, and
-  ///   AdvanceMigration() reshapes one non-conforming level per call so a
-  ///   maintenance loop can migrate the tree without a stop-the-world
-  ///   rebuild.
+  ///   mode) or flushed inline, exactly like a filling write (that Flush
+  ///   drains every pending unit, the migration's included).
+  /// - size_ratio / policy changes are realized incrementally: every
+  ///   non-conforming level becomes a migration-priority maintenance unit
+  ///   (one level per unit), so the scheduler, or DrainMaintenance(),
+  ///   migrates the tree without a stop-the-world rebuild.
   /// Page geometry and storage placement (entries_per_page, backend,
   /// storage_dir, background_maintenance) are immutable; changing them
   /// returns InvalidArgument and leaves the tree untouched.
@@ -361,18 +375,9 @@ class LsmTree {
   /// True while the latest Reconfigure may have left some level
   /// violating the current policy/size-ratio shape. A cached flag (O(1),
   /// checked on every write's maintenance hook): set by Reconfigure,
-  /// cleared by the first AdvanceMigration that finds every level
+  /// cleared by the first PrepareMaintenance that finds every level
   /// conforming.
   bool MigrationPending() const;
-
-  /// Performs one bounded migration step: finds the shallowest
-  /// non-conforming level and merges/pushes its runs into the current
-  /// geometry via the normal compaction machinery. `*did_work` is set
-  /// true when a step ran, false when the tree already conforms; callers
-  /// (ShardedDB maintenance jobs, or its ApplyTuning without them) loop
-  /// or reschedule until it stays false. On failure the level keeps its
-  /// runs (the step simply did not happen) and the call is retryable.
-  Status AdvanceMigration(bool* did_work);
 
   /// Epoch/shape progress of the latest reconfiguration.
   MigrationProgress Progress() const;
@@ -452,12 +457,8 @@ class LsmTree {
  private:
   Status Write(const Entry& e);
   /// Post-insert maintenance: seals (background mode) or flushes a full
-  /// buffer — shared by the write path and WAL replay.
+  /// buffer — shared by the write path, WAL replay and Reconfigure.
   Status MaintainAfterWrite();
-  /// Detaches and flushes the sealed buffer (which must exist), without
-  /// publishing — Flush's first step. On failure the buffer is
-  /// reinstalled as sealed_ (no entry is lost).
-  Status FlushSealedInternal();
   /// Appends one entry record to the WAL (no commit — callers group).
   void StageWalRecord(const Entry& e);
   /// Commits staged WAL records (one write; fsync under kPerBatch).
@@ -475,8 +476,8 @@ class LsmTree {
   /// Makes `p` durable unless a newer capture already is, then unlinks
   /// what it retired. Needs no owner lock (serialized on publish_mu_).
   Status Publish(const ManifestPublication& p);
-  /// Capture + Publish in one step — the foreground paths (Flush,
-  /// Reconfigure, migration steps, bulk load) — when durable.
+  /// Capture + Publish in one step — Reconfigure, bulk load and attach —
+  /// when durable.
   Status PublishManifestIfDurable();
   /// Unlinks WAL files older than the live generations (attach time).
   Status RemoveStaleWals();
@@ -490,8 +491,8 @@ class LsmTree {
   bool InstallCompaction(MaintenanceUnit* unit);
   /// Rebuilds and atomically publishes the ReadSnapshot from the current
   /// members. Called (under the owner's lock) after every structural
-  /// change a reader may observe: construction, seal, flush, maintenance
-  /// install, migration step, reconfigure, bulk load, recovery.
+  /// change a reader may observe: construction, seal, maintenance
+  /// install, reconfigure, bulk load, recovery.
   void PublishSnapshot();
   /// Advances the visible sequence to at least `seq` (release store).
   /// Called right after an entry is applied to the active memtable —
@@ -504,15 +505,6 @@ class LsmTree {
     return buffer_capacity_override_ != 0 ? buffer_capacity_override_
                                           : opts_.buffer_entries;
   }
-  /// Streams `buffer` out as a level-1 run and cascades compactions. On
-  /// failure nothing new is resident (the caller still owns the buffer's
-  /// entries).
-  Status FlushBuffer(const MemTable& buffer);
-  /// Flush + policy cascade entry point. Failure contract: the incoming
-  /// run is NOT resident anywhere (the caller still owns its entries via
-  /// whatever produced it), this level and deeper keep the runs they had
-  /// — so every caller can restore its source and retry.
-  Status AddRunToLevel(std::shared_ptr<Run> run, int level);
   /// Bloom budget for a run landing on `level`, given the current tree
   /// depth (re-derived from the Monkey allocation each time).
   double FilterBitsForLevel(int level, int projected_depth) const;

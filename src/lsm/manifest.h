@@ -75,7 +75,7 @@ struct ManifestData {
 
   // Recovery cursors.
   uint64_t tuning_epoch = 0;
-  bool migration_pending = false;  ///< resume AdvanceMigration if set
+  bool migration_pending = false;  ///< resume migration units if set
   uint64_t next_seq = 1;           ///< floor for the sequence counter
   uint64_t next_file_id = 1;       ///< floor for segment file ids
   /// Oldest WAL generation still covering memtable contents: recovery

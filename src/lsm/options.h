@@ -76,13 +76,15 @@ struct Options {
   /// runs one shard.
   int num_shards = 1;
 
-  /// When true the engine never flushes inline on a full memtable:
-  /// Put/Delete seal the full buffer into an immutable slot that stays
-  /// readable until ShardedDB's background maintenance flushes it (while
-  /// one sealed buffer is pending, the active one absorbs writes past
-  /// capacity and ShardedDB stalls writers). When false (default) a full
-  /// memtable flushes inline, preserving the single-threaded behaviour
-  /// the experiments measure.
+  /// Who runs the tree's maintenance units (flushes, compactions,
+  /// migration steps); the units themselves are the same either way.
+  /// When true ShardedDB's compaction scheduler runs them on its pool:
+  /// Put/Delete seal a full buffer into an immutable slot that stays
+  /// readable until a flush unit lands it (while one sealed buffer is
+  /// pending, the active one absorbs writes past capacity and ShardedDB
+  /// stalls writers). When false (default) the writer that fills the
+  /// buffer runs them back to back on its own thread, preserving the
+  /// single-threaded behaviour the experiments measure.
   bool background_maintenance = false;
 
   /// Crash-safe persistence (docs/durability.md): every write is logged

@@ -167,22 +167,19 @@ StatusOr<std::unique_ptr<ShardedDB>> ShardedDB::Open(const Options& options) {
   for (auto& shard : slots) db->shards_.push_back(std::move(shard));
 
   // Resume interrupted work: shards that recovered mid-migration (or
-  // with a sealed buffer rebuilt by replay) reschedule immediately on
-  // the scheduler; without one (foreground mode) the migration converges
-  // inline here, mirroring ApplyTuning's foreground behaviour.
+  // with a sealed buffer rebuilt by replay, or a level a failed drain
+  // left unmerged) reschedule immediately on the scheduler; without one
+  // (foreground mode) the same units drain here, mirroring ApplyTuning's
+  // foreground behaviour.
   for (auto& shard_ptr : db->shards_) {
     Shard* shard = shard_ptr.get();
     std::lock_guard<std::mutex> lock(shard->mu);
     if (db->scheduler_ != nullptr) {
       db->MaybeScheduleMaintenance(shard);
     } else {
-      bool did_work = true;
-      while (did_work) {
-        // A failed resume step fails the open as a whole: nothing is
-        // lost (the level kept its runs) and a reopen retries from
-        // exactly here.
-        ENDURE_RETURN_IF_ERROR(shard->tree->AdvanceMigration(&did_work));
-      }
+      // A failed unit fails the open as a whole: nothing is lost (the
+      // level kept its runs) and a reopen retries from exactly here.
+      ENDURE_RETURN_IF_ERROR(shard->tree->DrainMaintenance());
     }
   }
   return db;
@@ -277,7 +274,6 @@ void ShardedDB::RunMaintenanceUnit(Shard* shard) {
       shard->cv.notify_all();
       return;
     }
-    shard->unit_in_flight = true;
   }
 
   // The expensive phase — merge/flush I/O — with the shard UNLOCKED:
@@ -286,7 +282,6 @@ void ShardedDB::RunMaintenanceUnit(Shard* shard) {
 
   {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->unit_in_flight = false;
     if (s.ok()) s = shard->tree->InstallMaintenance(&unit);
     // Wake stalled writers now: the install may have cleared the sealed
     // buffer or shrunk level 1 below the threshold.
@@ -494,6 +489,9 @@ Status ShardedDB::Flush() {
     std::lock_guard<std::mutex> lock(shard->mu);
     const Status s = shard->tree->Flush();
     if (!s.ok() && first_error.ok()) first_error = s;
+    // A failed drain leaves a sealed buffer or an unmerged level behind;
+    // hand it to the scheduler rather than wait for the next write.
+    MaybeScheduleMaintenance(shard);
   }
   return first_error;
 }
@@ -669,15 +667,12 @@ Status ShardedDB::ApplyTuning(const Options& new_options) {
     } else {
       // Foreground mode: converge this shard's structure inline (the
       // caller opted out of background work entirely).
-      bool did_work = true;
-      while (did_work) {
-        const Status ms = shard->tree->AdvanceMigration(&did_work);
-        if (!ms.ok()) {
-          return Status(ms.code(),
-                        "ApplyTuning migration failed at shard " +
-                            std::to_string(i) + " (state remains "
-                            "consistent; retry resumes): " + ms.message());
-        }
+      const Status ms = shard->tree->DrainMaintenance();
+      if (!ms.ok()) {
+        return Status(ms.code(),
+                      "ApplyTuning migration failed at shard " +
+                          std::to_string(i) + " (state remains "
+                          "consistent; retry resumes): " + ms.message());
       }
     }
   }

@@ -2,16 +2,17 @@
 //
 // The storage engine's public facade: hash-partitions the key space
 // across Options::num_shards independent LsmTree shards, each guarded by
-// its own mutex. One shard without background maintenance is the
-// single-threaded engine the paper's experiments measure (inline
-// flushes, synchronous migration on ApplyTuning); the server runs many
-// shards with background maintenance. With Options::background_maintenance,
-// flushes and compactions run through a CompactionScheduler (priority
+// its own mutex. Flushes, compactions and migration steps are the tree's
+// maintenance units (prepare/execute/install/publish) in every mode; the
+// mode decides who runs them. One shard without background maintenance
+// is the single-threaded engine the paper's experiments measure: the
+// writer runs the units inline, and ApplyTuning drains the migration
+// before it returns. The server runs many shards with background
+// maintenance: the units run through a CompactionScheduler (priority
 // admission, rate limiting, deadline-based retry) on a util::ThreadPool,
-// using the tree's prepare/execute/install protocol so merge I/O happens
-// OFF the shard lock — foreground Get/Put only contend with the brief
-// snapshot and run-list-swap phases. Writers that fill a shard's buffer
-// seal it and return immediately; Get/Scan consult the
+// with merge I/O OFF the shard lock — foreground Get/Put only contend
+// with the brief snapshot and run-list-swap phases. Writers that fill a
+// shard's buffer seal it and return immediately; Get/Scan consult the
 // sealed-but-unflushed buffer so an acknowledged write is always visible.
 // Saturated shards (sealed buffer pending and the active buffer full, or
 // too many level-1 runs) apply backpressure: writers stall, with the time
@@ -57,8 +58,9 @@ class ShardedDB {
   /// workers (0 = auto), so restart latency is the max over shards
   /// rather than the sum: acknowledged writes replayed from the WALs,
   /// the persisted tuning resumed, and any in-flight migration
-  /// rescheduled on the maintenance pool exactly where AdvanceMigration
-  /// left off. If any shard fails to recover, the open fails as a whole
+  /// resumed exactly where its last installed unit left off (on the
+  /// maintenance pool, or drained inline before Open returns without
+  /// one). If any shard fails to recover, the open fails as a whole
   /// with the error of the lowest-numbered failing shard (deterministic
   /// whatever the thread interleaving), and every already-recovered
   /// shard is torn down before return — no threads, WAL writers, file
@@ -103,11 +105,13 @@ class ShardedDB {
   StatusOr<std::vector<Entry>> Scan(Key lo, Key hi);
 
   /// Synchronously flushes every shard (sealed buffer first, then the
-  /// active one). Does not wait for previously scheduled background jobs;
-  /// call WaitForMaintenance() first for a full barrier. On error the
-  /// remaining shards are still flushed; the first failing shard's
+  /// active one, each with the merges it starts — LsmTree::Flush on the
+  /// calling thread). Does not wait for previously scheduled background
+  /// jobs; call WaitForMaintenance() first for a full barrier. On error
+  /// the remaining shards are still flushed; the first failing shard's
   /// status is returned (no entry is lost — a failed shard keeps its
-  /// buffers).
+  /// sealed buffer or unmerged runs, and with background maintenance its
+  /// scheduler job retries them).
   Status Flush();
 
   /// First shard-level storage failure (prefixed "shard <i>: "), or OK.
@@ -155,9 +159,9 @@ class ShardedDB {
   ///   see Progress()).
   /// - buffer_entries retargets every shard's seal threshold immediately.
   /// - size_ratio / policy changes migrate incrementally: each shard's
-  ///   maintenance job reshapes one level per step between serving
-  ///   foreground traffic (with background_maintenance off, the
-  ///   migration runs inline here, shard by shard).
+  ///   maintenance job reshapes one level per unit between serving
+  ///   foreground traffic (with background_maintenance off, the same
+  ///   units drain inline here, shard by shard).
   /// num_shards, entries_per_page, backend, storage_dir and
   /// background_maintenance are immutable; changing them returns
   /// InvalidArgument and leaves every shard untouched.
@@ -240,11 +244,6 @@ class ShardedDB {
     /// (at most one in flight per shard; the job re-checks for sealed
     /// work under the lock, so a foreground Flush racing it is benign).
     bool maintenance_scheduled = false;
-    /// True while a prepared unit is executing OFF the lock (between
-    /// PrepareMaintenance and InstallMaintenance). Purely observational:
-    /// foreground ops never wait on it — stale units discard themselves
-    /// at install.
-    bool unit_in_flight = false;
     /// Consecutive background-maintenance failures (guarded by mu).
     /// Reset on success; when it exceeds Options::background_max_retries
     /// the shard's tree is latched read-only.

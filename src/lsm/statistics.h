@@ -93,7 +93,7 @@ struct Statistics {
 
   // --- live reconfiguration ---
   RelaxedCounter reconfigurations = 0;  ///< Reconfigure/ApplyTuning calls
-  RelaxedCounter migration_steps = 0;   ///< AdvanceMigration steps that did work
+  RelaxedCounter migration_steps = 0;   ///< migration-priority units installed
 
   // --- durability (WAL + manifest; see docs/durability.md) ---
   RelaxedCounter wal_records = 0;         ///< records appended to the WAL

@@ -3,7 +3,9 @@
 // (timer-thread) retry requeues that keep backoffs off the pool workers,
 // WaitIdle through self-rescheduling chains, RunSubtasks, partitioned
 // merges matching sequential ones byte for byte, and the LsmTree unit
-// protocol including its stale-unit discard races. Run under
+// protocol including its stale-unit discard races, the operator Flush
+// handing failed work back to the scheduler, and a foreground tree (the
+// writer runs the units) matching a scheduler-driven one. Run under
 // ThreadSanitizer in CI's tsan leg.
 
 #include "lsm/compaction_scheduler.h"
@@ -265,8 +267,8 @@ TEST_F(PartitionedMergeTest, MatchesSequentialMergeExactly) {
   limits.max_subtasks = 4;
   limits.min_pages_to_partition = 8;  // force partitioning at this size
   auto partitioned =
-      MergeRunsEx(&store_, {ra, rb, rc}, 8.0, /*drop_tombstones=*/true,
-                  limits)
+      MergeRuns(&store_, {ra, rb, rc}, 8.0, /*drop_tombstones=*/true,
+                limits)
           .value();
   ASSERT_NE(partitioned, nullptr);
 
@@ -297,8 +299,8 @@ TEST_F(PartitionedMergeTest, SmallMergesStayUnpartitioned) {
   MergeLimits limits;
   limits.subtask_pool = &pool;
   limits.max_subtasks = 4;  // default 256-page gate stays in force
-  auto merged = MergeRunsEx(&store_, {RunOf(a), RunOf(b)}, 8.0, false,
-                            limits)
+  auto merged = MergeRuns(&store_, {RunOf(a), RunOf(b)}, 8.0, false,
+                          limits)
                     .value();
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->num_entries(), 80u);
@@ -306,6 +308,17 @@ TEST_F(PartitionedMergeTest, SmallMergesStayUnpartitioned) {
 }
 
 // ------------------------------------------- prepare / execute / install --
+
+/// Drives prepare/execute/install until no unit is pending, as the
+/// scheduler does (no lock to juggle: nothing races the test).
+void RunUnitsByHand(LsmTree* tree) {
+  for (;;) {
+    MaintenanceUnit unit = tree->PrepareMaintenance();
+    if (unit.kind == MaintenanceUnit::Kind::kNone) return;
+    ASSERT_TRUE(tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+    ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
+  }
+}
 
 class MaintenanceProtocolTest : public ::testing::Test {
  protected:
@@ -330,16 +343,6 @@ class MaintenanceProtocolTest : public ::testing::Test {
       ASSERT_TRUE(tree_.Put(base + 2 * k, base + k).ok());
     }
     ASSERT_TRUE(tree_.HasSealedMemtable());
-  }
-
-  /// Drives prepare/execute/install until no work remains.
-  void DrainMaintenance() {
-    while (tree_.HasMaintenanceWork()) {
-      MaintenanceUnit unit = tree_.PrepareMaintenance();
-      if (unit.kind == MaintenanceUnit::Kind::kNone) break;
-      ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
-      ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());
-    }
   }
 
   Statistics stats_;
@@ -382,7 +385,7 @@ TEST_F(MaintenanceProtocolTest, OverFullBufferWaitsForThePendingFlush) {
   ASSERT_TRUE(tree_.Put(2000, 1).ok());
   EXPECT_TRUE(tree_.HasSealedMemtable());
   EXPECT_EQ(tree_.memtable().size(), 0u);
-  DrainMaintenance();
+  RunUnitsByHand(&tree_);
   EXPECT_FALSE(tree_.HasSealedMemtable());
   for (Key k = 0; k < 17; ++k) {
     ASSERT_EQ(tree_.Get(2 * k).value_or(~0ull), k) << k;
@@ -422,13 +425,13 @@ TEST_F(MaintenanceProtocolTest, StaleEpochUnitDiscardsAfterReconfigure) {
   // pending for a fresh unit under the new epoch.
   EXPECT_TRUE(tree_.HasSealedMemtable());
   EXPECT_TRUE(tree_.HasMaintenanceWork());
-  DrainMaintenance();
+  RunUnitsByHand(&tree_);
   EXPECT_FALSE(tree_.HasSealedMemtable());
 }
 
 TEST_F(MaintenanceProtocolTest, StaleCompactionUnitDiscardsWhenInputsMoved) {
   FillToSeal(0);
-  DrainMaintenance();
+  RunUnitsByHand(&tree_);
   FillToSeal(100);
   // Flush by hand so level 1 stops conforming (two runs under leveling).
   MaintenanceUnit flush = tree_.PrepareMaintenance();
@@ -440,14 +443,14 @@ TEST_F(MaintenanceProtocolTest, StaleCompactionUnitDiscardsWhenInputsMoved) {
   MaintenanceUnit unit = tree_.PrepareMaintenance();
   ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kCompaction);
   ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
-  // A racing foreground Flush cascades through level 1 before install:
-  // the unit's inputs are no longer resident.
+  // A racing foreground Flush merges level 1 before install: the unit's
+  // inputs are no longer resident.
   FillToSeal(200);
   ASSERT_TRUE(tree_.Flush().ok());
   const uint64_t entries_before = tree_.TotalEntries();
   ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());
   EXPECT_EQ(tree_.TotalEntries(), entries_before);  // discarded
-  DrainMaintenance();
+  RunUnitsByHand(&tree_);
   for (Key k = 0; k < 16; ++k) {
     ASSERT_TRUE(tree_.Get(2 * k).has_value()) << k;
     ASSERT_TRUE(tree_.Get(100 + 2 * k).has_value()) << k;
@@ -457,11 +460,10 @@ TEST_F(MaintenanceProtocolTest, StaleCompactionUnitDiscardsWhenInputsMoved) {
 
 TEST_F(MaintenanceProtocolTest, StepwiseCascadeConvergesAndConforms) {
   // Push several buffers through the protocol; every level must conform
-  // when the work queue drains, exactly as the recursive inline cascade
-  // leaves it.
+  // when the work queue drains.
   for (int round = 0; round < 12; ++round) {
     FillToSeal(1000 * round);
-    DrainMaintenance();
+    RunUnitsByHand(&tree_);
   }
   EXPECT_FALSE(tree_.HasMaintenanceWork());
   for (int round = 0; round < 12; ++round) {
@@ -511,6 +513,143 @@ TEST_F(MaintenanceProtocolTest, PutReturnsWhileFlushInstallPublishes) {
   EXPECT_GE(db->TotalStats().flushes.load(), 1u);
   EXPECT_TRUE(db->Health().ok());
 }
+
+TEST_F(MaintenanceProtocolTest, FailedOperatorFlushReArmsMaintenance) {
+  // An operator Flush runs the units on the calling thread; when one
+  // fails, the sealed buffer it leaves must go back to the scheduler
+  // rather than wait for the next write to re-arm maintenance.
+  ScopedFaultInjector fi;
+  Options o = TreeOpts();
+  o.buffer_entries = 64;
+  o.backend = StorageBackend::kFile;
+  o.storage_dir = "/tmp/endure_flush_rearm_test";
+  o.maintenance_threads = 1;
+  std::filesystem::remove_all(o.storage_dir);
+  auto db = std::move(ShardedDB::Open(o)).value();
+  for (Key k = 0; k < 40; ++k) ASSERT_TRUE(db->Put(k, k + 1).ok());
+  fi->Arm(FaultSite::kSegmentWrite, {.count = 1, .err = EIO});
+  EXPECT_FALSE(db->Flush().ok());
+  fi->Disarm(FaultSite::kSegmentWrite);
+
+  db->WaitForMaintenance();
+  const LsmTree& tree = db->shard_tree(0);
+  EXPECT_FALSE(tree.HasSealedMemtable());
+  EXPECT_FALSE(tree.HasMaintenanceWork());
+  EXPECT_EQ(tree.RunsInLevel(1), 1u);
+  EXPECT_TRUE(db->Health().ok());
+  for (Key k = 0; k < 40; ++k) {
+    ASSERT_EQ(db->Get(k).value_or(0), k + 1) << k;
+  }
+}
+
+// -------------------------------------- foreground vs scheduled units --
+
+struct EquivalenceCase {
+  CompactionPolicy policy;
+  int size_ratio;
+  double bits_per_entry;
+  uint64_t seed;
+};
+
+std::string CaseName(const ::testing::TestParamInfo<EquivalenceCase>& info) {
+  static const char* const kPolicy[] = {"Leveling", "Tiering",
+                                        "LazyLeveling"};
+  const EquivalenceCase& c = info.param;
+  return std::string(kPolicy[static_cast<int>(c.policy)]) + "_T" +
+         std::to_string(c.size_ratio) + "_h" +
+         std::to_string(static_cast<int>(c.bits_per_entry)) + "_seed" +
+         std::to_string(c.seed);
+}
+
+std::vector<EquivalenceCase> AllEquivalenceCases() {
+  std::vector<EquivalenceCase> out;
+  for (CompactionPolicy policy :
+       {CompactionPolicy::kLeveling, CompactionPolicy::kTiering,
+        CompactionPolicy::kLazyLeveling}) {
+    for (int t : {2, 3, 4, 7}) {
+      for (double h : {3.0, 8.0}) {
+        for (uint64_t seed : {1, 2}) out.push_back({policy, t, h, seed});
+      }
+    }
+  }
+  return out;
+}
+
+class MaintenanceProtocolEquivalenceTest
+    : public ::testing::TestWithParam<EquivalenceCase> {};
+
+/// A tree built from the case's tuning. Run() bulk-loads it and applies
+/// the case's write stream; a background tree has its units driven by
+/// hand after every write.
+struct EquivalenceTree {
+  EquivalenceTree(const EquivalenceCase& c, bool background)
+      : store(4, &stats), tree(MakeOptions(c, background), &store, &stats) {}
+
+  static Options MakeOptions(const EquivalenceCase& c, bool background) {
+    Options o;
+    o.policy = c.policy;
+    o.size_ratio = c.size_ratio;
+    o.filter_bits_per_entry = c.bits_per_entry;
+    o.buffer_entries = 64;
+    o.entries_per_page = 4;
+    o.background_maintenance = background;
+    return o;
+  }
+
+  void Run(uint64_t seed) {
+    std::vector<Entry> load;
+    for (Key k = 0; k < 3000; ++k) {
+      load.push_back({2 * k, 0, k, EntryType::kValue});
+    }
+    ASSERT_TRUE(tree.BulkLoad(load).ok());
+    Rng rng(seed);
+    for (int i = 0; i < 6000; ++i) {
+      const Key key = 2 * rng.UniformInt(0, 4000);
+      const Status s = rng.NextDouble() < 0.1
+                           ? tree.Delete(key)
+                           : tree.Put(key, static_cast<Value>(i));
+      ASSERT_TRUE(s.ok()) << s.message();
+      if (tree.options().background_maintenance) {
+        ASSERT_NO_FATAL_FAILURE(RunUnitsByHand(&tree));
+      }
+    }
+  }
+
+  Statistics stats;
+  MemPageStore store;
+  LsmTree tree;
+};
+
+TEST_P(MaintenanceProtocolEquivalenceTest,
+       ForegroundTreeMatchesDrainedBackgroundTree) {
+  // The writer's own drain and the scheduler's units are one protocol:
+  // the same writes leave the same levels, filters and page I/O.
+  EquivalenceTree fg(GetParam(), /*background=*/false);
+  EquivalenceTree bg(GetParam(), /*background=*/true);
+  ASSERT_NO_FATAL_FAILURE(fg.Run(GetParam().seed));
+  ASSERT_NO_FATAL_FAILURE(bg.Run(GetParam().seed));
+  const std::vector<LevelInfo> fg_levels = fg.tree.GetLevelInfos();
+  const std::vector<LevelInfo> bg_levels = bg.tree.GetLevelInfos();
+  ASSERT_EQ(fg_levels.size(), bg_levels.size());
+  for (size_t i = 0; i < fg_levels.size(); ++i) {
+    SCOPED_TRACE("level " + std::to_string(fg_levels[i].level));
+    EXPECT_EQ(fg_levels[i].num_runs, bg_levels[i].num_runs);
+    EXPECT_EQ(fg_levels[i].num_entries, bg_levels[i].num_entries);
+    EXPECT_EQ(fg_levels[i].min_key, bg_levels[i].min_key);
+    EXPECT_EQ(fg_levels[i].max_key, bg_levels[i].max_key);
+    EXPECT_EQ(fg_levels[i].filter_bits_per_entry,
+              bg_levels[i].filter_bits_per_entry);
+  }
+  EXPECT_EQ(fg.stats.pages_written.load(), bg.stats.pages_written.load());
+  EXPECT_EQ(fg.stats.compaction_pages_read.load(),
+            bg.stats.compaction_pages_read.load());
+  EXPECT_EQ(fg.stats.flushes.load(), bg.stats.flushes.load());
+  EXPECT_EQ(fg.stats.compactions.load(), bg.stats.compactions.load());
+}
+
+INSTANTIATE_TEST_SUITE_P(Tunings, MaintenanceProtocolEquivalenceTest,
+                         ::testing::ValuesIn(AllEquivalenceCases()),
+                         CaseName);
 
 // ------------------------------------------------- starvation regression --
 

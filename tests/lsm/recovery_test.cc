@@ -270,7 +270,7 @@ TEST(RecoveryTest, AppliedTuningSurvivesKill) {
 TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   const std::string dir = FreshDir("mid_migration");
   // Tiering leaves multi-run levels, so migrating to leveling has real
-  // per-level work for AdvanceMigration to be killed in the middle of.
+  // per-level work for the migration units to be killed in the middle of.
   Options base = DurableOpts(dir);
   base.policy = CompactionPolicy::kTiering;
   Options tuned = base;
@@ -284,11 +284,16 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
     auto t = OpenDurableTree(base);
     for (Key k = 0; k < 2000; ++k) ASSERT_TRUE(t->tree->Put(k, k + 1).ok());
     // Reconfigure the bare tree (ShardedDB::ApplyTuning would converge)
-    // and take exactly one migration step, then die mid-flight.
+    // and run exactly one migration unit through all four phases, then
+    // die mid-flight.
     ASSERT_TRUE(t->tree->Reconfigure(tuned).ok());
-    bool stepped = false;
-    ASSERT_TRUE(t->tree->AdvanceMigration(&stepped).ok());
-    ASSERT_TRUE(stepped);
+    MaintenanceUnit unit = t->tree->PrepareMaintenance();
+    ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kCompaction);
+    ASSERT_EQ(unit.priority, 1);
+    ASSERT_TRUE(t->tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+    ASSERT_TRUE(t->tree->InstallMaintenance(&unit).ok());
+    ASSERT_TRUE(t->tree->PublishMaintenance(&unit).ok());
+    ASSERT_EQ(t->stats.migration_steps.load(), 1u);
     ASSERT_TRUE(t->tree->MigrationPending());
     epoch_at_kill = t->tree->tuning_epoch();
     progress_at_kill = t->tree->Progress();
@@ -306,11 +311,9 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
   EXPECT_EQ(progress.entries_current, progress_at_kill.entries_current);
   EXPECT_EQ(progress.nonconforming_levels,
             progress_at_kill.nonconforming_levels);
-  // Resume: AdvanceMigration picks up and converges; contents intact.
-  bool did_work = true;
-  while (did_work) {
-    ASSERT_TRUE(t->tree->AdvanceMigration(&did_work).ok());
-  }
+  // Resume: the remaining units pick up and converge; contents intact.
+  ASSERT_TRUE(t->tree->DrainMaintenance().ok());
+  EXPECT_FALSE(t->tree->MigrationPending());
   EXPECT_TRUE(t->tree->Progress().structure_conforming());
   for (Key k = 0; k < 2000; ++k) {
     ASSERT_EQ(t->tree->Get(k).value_or(0), k + 1);
@@ -782,6 +785,52 @@ TEST(RecoveryTest, KillAfterInstallWhosePublishFailedLosesNothing) {
   auto db = ShardedDB::Open(o);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ExpectMatchesOracle(db->get(), oracle, 250);
+}
+
+TEST(RecoveryTest, DrainFailingAfterItsFlushInstalledLosesNothing) {
+  // A foreground write that fills the buffer drains the units back to
+  // back and publishes the newest capture even when a later unit fails:
+  // here the flush lands and the level-1 merge behind it does not.
+  const std::string dir = FreshDir("failed_drain");
+  Options o = DurableOpts(dir);
+  o.buffer_entries = 16;
+  Key acked_until = 0;
+  {
+    ScopedFaultInjector fi;
+    auto db = ShardedDB::Open(o);
+    ASSERT_TRUE(db.ok());
+    for (Key k = 0; k < 16; ++k) ASSERT_TRUE((*db)->Put(k, k + 1).ok());
+    acked_until = 16;
+    const uint64_t manifests = (*db)->TotalStats().manifest_writes.load();
+    // The next flush writes its four pages; the merge's first one fails.
+    fi->Arm(FaultSite::kSegmentWrite, {.skip = 4, .count = 1, .err = EIO});
+    Status refused;
+    for (Key k = 16; k < 32 && refused.ok(); ++k) {
+      refused = (*db)->Put(k, k + 1);
+      if (refused.ok()) acked_until = k + 1;
+    }
+    ASSERT_FALSE(refused.ok()) << "the drain never hit the fault";
+    EXPECT_EQ(acked_until, 31u);
+    EXPECT_EQ(fi->fired(FaultSite::kSegmentWrite), 1u);
+    EXPECT_FALSE((*db)->Health().ok()) << "the refused write must latch";
+    // The installed flush is on disk; the merge that failed is not.
+    EXPECT_EQ((*db)->TotalStats().manifest_writes.load(), manifests + 1);
+    EXPECT_EQ((*db)->shard_tree(0).RunsInLevel(1), 2u);
+    auto on_disk = ReadManifest(dir + "/shard_0/" + kManifestFileName);
+    ASSERT_TRUE(on_disk.ok());
+    ASSERT_FALSE(on_disk->levels.empty());
+    EXPECT_EQ(on_disk->levels[0].size(), 2u);
+    (*db)->CrashForTesting();
+  }
+  auto db = ShardedDB::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  // Open drains what the failure left: level 1 merges into one run.
+  EXPECT_EQ((*db)->shard_tree(0).RunsInLevel(1), 1u);
+  EXPECT_TRUE((*db)->Progress().structure_conforming());
+  EXPECT_TRUE((*db)->Health().ok());
+  for (Key k = 0; k < acked_until; ++k) {
+    ASSERT_EQ((*db)->Get(k).value_or(0), k + 1) << k;
+  }
 }
 
 TEST(RecoveryTest, KillBeforeRetiredWalUnlinkReplaysOnlyLiveGenerations) {
