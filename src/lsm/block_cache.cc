@@ -8,16 +8,66 @@ BlockCache::BlockCache(uint64_t capacity_bytes, int num_shards)
     : shards_(static_cast<size_t>(std::max(1, num_shards))),
       capacity_(capacity_bytes) {}
 
+template <typename Match>
+uint32_t* BlockCache::SlotTable::Find(uint32_t hash, Match match) {
+  if (buckets_.empty()) return nullptr;
+  for (size_t i = hash & mask(); buckets_[i].slot != kNoSlot;
+       i = (i + 1) & mask()) {
+    if (buckets_[i].hash == hash && match(buckets_[i].slot)) {
+      return &buckets_[i].slot;
+    }
+  }
+  return nullptr;
+}
+
+void BlockCache::SlotTable::Place(Bucket b) {
+  size_t i = b.hash & mask();
+  while (buckets_[i].slot != kNoSlot) i = (i + 1) & mask();
+  buckets_[i] = b;
+}
+
+void BlockCache::SlotTable::Insert(uint32_t hash, uint32_t slot) {
+  if (2 * (size_ + 1) > buckets_.size()) {
+    std::vector<Bucket> old(std::max<size_t>(16, 2 * buckets_.size()));
+    old.swap(buckets_);
+    for (const Bucket& b : old) {
+      if (b.slot != kNoSlot) Place(b);
+    }
+  }
+  Place(Bucket{slot, hash});
+  ++size_;
+}
+
+void BlockCache::SlotTable::Erase(uint32_t hash, uint32_t slot) {
+  size_t hole = hash & mask();
+  while (buckets_[hole].slot != slot) hole = (hole + 1) & mask();
+  // Backward shift: pull each later entry of the run into the hole unless
+  // its home lies between the hole and where it sits, which would put it
+  // before its home.
+  for (size_t i = (hole + 1) & mask(); buckets_[i].slot != kNoSlot;
+       i = (i + 1) & mask()) {
+    const size_t home = buckets_[i].hash & mask();
+    if (((i - home) & mask()) >= ((i - hole) & mask())) {
+      buckets_[hole] = buckets_[i];
+      hole = i;
+    }
+  }
+  buckets_[hole] = Bucket{};
+  --size_;
+}
+
 bool BlockCache::Lookup(uint64_t store_id, SegmentId segment,
                         uint64_t page_idx, PageBuffer* out) {
   if (capacity() == 0 || out == nullptr) return false;
   const CacheKey key{store_id, segment, page_idx};
-  Shard& s = ShardFor(key);
+  const uint64_t h = KeyHash(key);
+  Shard& s = ShardFor(h);
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) return false;
-  Slot& slot = *s.slots[it->second];
-  slot.referenced.store(true, std::memory_order_relaxed);
+  const uint32_t* idx = s.index.Find(
+      TableHash(h), [&](uint32_t i) { return s.slots[i].key == key; });
+  if (idx == nullptr) return false;
+  Slot& slot = s.slots[*idx];
+  slot.referenced = true;
   out->Reserve(slot.entries.size());
   std::copy(slot.entries.begin(), slot.entries.end(), out->data());
   out->set_size(slot.entries.size());
@@ -31,91 +81,138 @@ void BlockCache::Insert(uint64_t store_id, SegmentId segment,
   const uint64_t bytes = SlotBytes(count);
   if (bytes > PerShardCapacity()) return;  // would evict the whole shard
   const CacheKey key{store_id, segment, page_idx};
-  Shard& s = ShardFor(key);
+  const uint64_t h = KeyHash(key);
+  const uint32_t hash = TableHash(h);
+  Shard& s = ShardFor(h);
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    // Already resident (two readers raced the same miss); refresh the data
-    // in place — the page is immutable, so the bytes are identical anyway.
-    Slot& slot = *s.slots[it->second];
-    slot.referenced.store(true, std::memory_order_relaxed);
+  if (const uint32_t* resident = s.index.Find(
+          hash, [&](uint32_t i) { return s.slots[i].key == key; })) {
+    // Two readers raced the same miss. The page is immutable, so the
+    // resident copy is already right: only mark it referenced.
+    s.slots[*resident].referenced = true;
     return;
   }
-  EvictToFit(s, bytes, stats);
-  size_t idx;
-  if (!s.free_slots.empty()) {
-    idx = s.free_slots.back();
-    s.free_slots.pop_back();
-  } else {
-    idx = s.slots.size();
-    s.slots.push_back(std::make_unique<Slot>());
+  uint32_t idx = EvictToFit(s, bytes, stats);
+  if (idx == kNoSlot && s.free_head != kNoSlot) {
+    idx = s.free_head;
+    s.free_head = s.slots[idx].next;
+  } else if (idx == kNoSlot) {
+    idx = static_cast<uint32_t>(s.slots.size());
+    s.slots.emplace_back();
   }
-  Slot& slot = *s.slots[idx];
+  Slot& slot = s.slots[idx];
   slot.key = key;
-  slot.entries.assign(entries, entries + count);
-  slot.referenced.store(false, std::memory_order_relaxed);
+  slot.entries.assign(entries, entries + count);  // reuses a victim's buffer
+  slot.referenced = false;
   slot.valid = true;
-  std::vector<size_t>& segment_slots =
-      s.by_segment[SegmentKey{store_id, segment}];
-  slot.segment_pos = segment_slots.size();
-  segment_slots.push_back(idx);
-  s.index[key] = idx;
+  LinkSegment(s, idx);
+  s.index.Insert(hash, idx);
   s.usage_bytes += bytes;
 }
 
-void BlockCache::FreeSlot(Shard& s, size_t idx) {
-  Slot& slot = *s.slots[idx];
-  // Swap-remove from the segment's list, fixing the moved slot's index.
-  const auto list = s.by_segment.find(
-      SegmentKey{slot.key.store_id, slot.key.segment});
-  std::vector<size_t>& segment_slots = list->second;
-  const size_t moved = segment_slots.back();
-  segment_slots[slot.segment_pos] = moved;
-  s.slots[moved]->segment_pos = slot.segment_pos;
-  segment_slots.pop_back();
-  if (segment_slots.empty()) s.by_segment.erase(list);
-  ReleaseSlot(s, idx);
+void BlockCache::LinkSegment(Shard& s, uint32_t idx) {
+  Slot& slot = s.slots[idx];
+  const uint32_t hash = SegmentHash(slot.key);
+  const uint32_t* head = s.segments.Find(hash, [&](uint32_t i) {
+    return s.slots[i].key.SameSegment(slot.key);
+  });
+  if (head == nullptr) {
+    slot.prev = slot.next = idx;
+    s.segments.Insert(hash, idx);
+    return;
+  }
+  const uint32_t tail = s.slots[*head].prev;
+  slot.prev = tail;
+  slot.next = *head;
+  s.slots[tail].next = idx;
+  s.slots[*head].prev = idx;
 }
 
-void BlockCache::ReleaseSlot(Shard& s, size_t idx) {
-  Slot& slot = *s.slots[idx];
+void BlockCache::UnlinkSegment(Shard& s, uint32_t idx) {
+  const auto unlink = [&s](uint32_t i) {
+    s.slots[s.slots[i].prev].next = s.slots[i].next;
+    s.slots[s.slots[i].next].prev = s.slots[i].prev;
+  };
+  Slot& slot = s.slots[idx];
+  const uint32_t hash = SegmentHash(slot.key);
+  if (slot.next == idx) {  // the segment's last resident page
+    s.segments.Erase(hash, idx);
+    return;
+  }
+  uint32_t* head = s.segments.Find(hash, [&](uint32_t i) {
+    return s.slots[i].key.SameSegment(slot.key);
+  });
+  const uint32_t tail = s.slots[*head].prev;
+  if (tail != idx) {
+    // Move the tail next to `idx`; unlinking `idx` then leaves the tail
+    // in its place.
+    unlink(tail);
+    s.slots[tail].prev = idx;
+    s.slots[tail].next = slot.next;
+    s.slots[slot.next].prev = tail;
+    slot.next = tail;
+    if (*head == idx) *head = tail;
+  }
+  unlink(idx);
+}
+
+void BlockCache::Drop(Shard& s, uint32_t idx) {
+  Slot& slot = s.slots[idx];
   s.usage_bytes -= SlotBytes(slot.entries.size());
-  s.index.erase(slot.key);
-  slot.entries.clear();
-  slot.entries.shrink_to_fit();
+  s.index.Erase(TableHash(KeyHash(slot.key)), idx);
   slot.valid = false;
-  s.free_slots.push_back(idx);
 }
 
-void BlockCache::EvictToFit(Shard& s, uint64_t need, Statistics* stats) {
+void BlockCache::Free(Shard& s, uint32_t idx) {
+  Slot& slot = s.slots[idx];
+  std::vector<Entry>().swap(slot.entries);
+  slot.next = s.free_head;
+  s.free_head = idx;
+}
+
+uint32_t BlockCache::EvictToFit(Shard& s, uint64_t need, Statistics* stats) {
   const uint64_t bound = PerShardCapacity();
-  if (s.slots.empty()) return;
+  const size_t ring = s.slots.size();
   // Two sweeps clear every reference bit and reach every victim; bail out
   // after that even if the bound is still exceeded (capacity may have been
   // shrunk below one page).
-  size_t scanned = 0;
-  const size_t limit = 2 * s.slots.size();
-  while (s.usage_bytes + need > bound && scanned < limit) {
-    Slot& victim = *s.slots[s.hand % s.slots.size()];
-    s.hand = (s.hand + 1) % s.slots.size();
-    ++scanned;
+  uint32_t last = kNoSlot;
+  for (size_t scanned = 0;
+       s.usage_bytes + need > bound && scanned < 2 * ring; ++scanned) {
+    const uint32_t idx = static_cast<uint32_t>(s.hand);
+    s.hand = (s.hand + 1) % ring;
+    Slot& victim = s.slots[idx];
     if (!victim.valid) continue;
-    if (victim.referenced.exchange(false, std::memory_order_relaxed)) {
-      continue;  // second chance
+    if (victim.referenced) {
+      victim.referenced = false;  // second chance
+      continue;
     }
-    FreeSlot(s, (s.hand + s.slots.size() - 1) % s.slots.size());
+    if (last != kNoSlot) Free(s, last);  // only the last victim is refilled
+    UnlinkSegment(s, idx);
+    Drop(s, idx);
+    last = idx;
     if (stats != nullptr) ++stats->cache_evictions;
   }
+  return last;
 }
 
 void BlockCache::EraseSegment(uint64_t store_id, SegmentId segment) {
-  const SegmentKey key{store_id, segment};
+  const CacheKey key{store_id, segment, 0};
+  const uint32_t hash = SegmentHash(key);
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mu);
-    const auto list = s.by_segment.find(key);
-    if (list == s.by_segment.end()) continue;
-    for (const size_t idx : list->second) ReleaseSlot(s, idx);
-    s.by_segment.erase(list);
+    const uint32_t* head = s.segments.Find(
+        hash, [&](uint32_t i) { return s.slots[i].key.SameSegment(key); });
+    if (head == nullptr) continue;
+    const uint32_t first = *head;
+    s.segments.Erase(hash, first);
+    uint32_t idx = first;
+    do {
+      const uint32_t next = s.slots[idx].next;
+      Drop(s, idx);
+      Free(s, idx);
+      idx = next;
+    } while (idx != first);
   }
 }
 

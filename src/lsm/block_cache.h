@@ -14,11 +14,20 @@
 // recovery I/O bypasses the cache entirely so the page-exact accounting
 // those paths are tested against stays deterministic.
 //
-// Eviction is clock (second chance) per cache shard: hits set a reference
-// bit without taking the shard lock; inserts advance the clock hand under
-// it. Sharding by key hash keeps the per-shard critical sections short and
-// uncontended, which is what the lock-free read path needs from its only
-// remaining shared structure.
+// Eviction is clock (second chance) per cache shard: a hit sets the slot's
+// reference bit and an insert advances the clock hand, both under the
+// shard lock. Sharding by key hash keeps the per-shard critical sections
+// short and uncontended, which is what the lock-free read path needs from
+// its only remaining shared structure.
+//
+// A shard is flat: its slots live by value in the clock ring, an
+// open-addressing table maps keys to slot numbers, and each segment's
+// slots are threaded on an intrusive list for EraseSegment. Admission
+// that evicts refills the last victim's slot and payload buffer in place,
+// so a cache that misses and evicts at a steady page size allocates
+// nothing; a slot freed without a refill (erased, or shed after the
+// capacity shrank) releases its payload, so resident memory follows the
+// capacity the memory arbiter sets.
 
 #ifndef ENDURE_LSM_BLOCK_CACHE_H_
 #define ENDURE_LSM_BLOCK_CACHE_H_
@@ -26,7 +35,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "lsm/page_store.h"
@@ -88,65 +96,103 @@ class BlockCache {
     bool operator==(const CacheKey& o) const {
       return store_id == o.store_id && segment == o.segment && page == o.page;
     }
-  };
-  struct KeyHash {
-    size_t operator()(const CacheKey& k) const {
-      // Fibonacci mixing over the three fields.
-      uint64_t h = k.store_id * 0x9e3779b97f4a7c15ULL;
-      h ^= k.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h ^= k.page + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
-
-  /// (store, segment): the unit EraseSegment drops.
-  struct SegmentKey {
-    uint64_t store_id = 0;
-    SegmentId segment = 0;
-    bool operator==(const SegmentKey& o) const {
+    bool SameSegment(const CacheKey& o) const {
       return store_id == o.store_id && segment == o.segment;
     }
   };
-  struct SegmentHash {
-    size_t operator()(const SegmentKey& k) const {
-      return KeyHash{}(CacheKey{k.store_id, k.segment, 0});
-    }
-  };
+  /// Picks the cache shard; TableHash remixes it for the shard's tables.
+  static uint64_t KeyHash(const CacheKey& k) {
+    // Fibonacci mixing over the three fields.
+    uint64_t h = k.store_id * 0x9e3779b97f4a7c15ULL;
+    h ^= k.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h ^= k.page + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    return h;
+  }
+  /// The keys of one shard share KeyHash's low bits (they picked the
+  /// shard), so the tables index by the high half of a second multiply.
+  static uint32_t TableHash(uint64_t key_hash) {
+    return static_cast<uint32_t>((key_hash * 0x9e3779b97f4a7c15ULL) >> 32);
+  }
+  /// (store, segment), the unit EraseSegment drops, hashed as its page 0.
+  static uint32_t SegmentHash(const CacheKey& k) {
+    return TableHash(KeyHash(CacheKey{k.store_id, k.segment, 0}));
+  }
+
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   struct Slot {
     CacheKey key;
+    /// The decoded page. A free slot has released it, except the victim
+    /// an insert is about to refill.
     std::vector<Entry> entries;
-    /// Second-chance bit: set lock-free on hit, cleared by the hand.
-    std::atomic<bool> referenced{false};
+    /// A valid slot's neighbours on its segment's circular list; a free
+    /// slot's `next` links the free list.
+    uint32_t prev = kNoSlot;
+    uint32_t next = kNoSlot;
+    /// Second-chance bit: set on hit, cleared by the hand.
+    bool referenced = false;
     bool valid = false;
-    /// Position in its segment's list in Shard::by_segment (valid only).
-    size_t segment_pos = 0;
+  };
+
+  /// Open-addressing set of slot numbers: linear probing, backward-shift
+  /// delete, grown to stay at most half full. A bucket holds a slot number
+  /// and its key's hash, never the key: a probe compares hashes and asks
+  /// the caller whether a candidate slot matches.
+  class SlotTable {
+   public:
+    /// The bucket's slot number for the first entry with `hash` that
+    /// `match(slot)` accepts, or nullptr. Writable, so a caller can
+    /// re-point an entry at another slot with the same key.
+    template <typename Match>
+    uint32_t* Find(uint32_t hash, Match match);
+    /// Adds `slot`, which must be absent. Allocates only to grow.
+    void Insert(uint32_t hash, uint32_t slot);
+    /// Removes `slot`, which must be present under `hash`.
+    void Erase(uint32_t hash, uint32_t slot);
+
+   private:
+    struct Bucket {
+      uint32_t slot = kNoSlot;
+      uint32_t hash = 0;
+    };
+    size_t mask() const { return buckets_.size() - 1; }
+    void Place(Bucket b);
+    std::vector<Bucket> buckets_;
+    size_t size_ = 0;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<CacheKey, size_t, KeyHash> index;  ///< key -> slot
-    /// The valid slots of each segment (unordered).
-    std::unordered_map<SegmentKey, std::vector<size_t>, SegmentHash>
-        by_segment;
-    std::vector<std::unique_ptr<Slot>> slots;             ///< clock ring
-    std::vector<size_t> free_slots;
+    std::vector<Slot> slots;  ///< clock ring
+    SlotTable index;          ///< key -> its slot
+    SlotTable segments;       ///< (store, segment) -> first slot of its list
+    uint32_t free_head = kNoSlot;  ///< LIFO free list, linked by Slot::next
     size_t hand = 0;
     uint64_t usage_bytes = 0;
   };
 
-  Shard& ShardFor(const CacheKey& k) {
-    return shards_[KeyHash{}(k) % shards_.size()];
+  Shard& ShardFor(uint64_t key_hash) {
+    return shards_[key_hash % shards_.size()];
   }
   /// Evicts clock-style until `need` more bytes fit under the per-shard
-  /// share of capacity. Shard lock held.
-  void EvictToFit(Shard& s, uint64_t need, Statistics* stats);
-  /// Invalidates valid slot `idx`: its segment-list entry goes, then
-  /// ReleaseSlot. Shard lock held.
-  static void FreeSlot(Shard& s, size_t idx);
-  /// Drops valid slot `idx`'s bytes and index entry and returns it to the
-  /// free list (its segment list is the caller's). Shard lock held.
-  static void ReleaseSlot(Shard& s, size_t idx);
+  /// share of capacity, and returns the last victim, unlinked and
+  /// uncounted but still holding its payload buffer for the caller to
+  /// refill (kNoSlot if nothing was evicted). Earlier victims are freed.
+  /// Shard lock held.
+  uint32_t EvictToFit(Shard& s, uint64_t need, Statistics* stats);
+  /// Invalidates slot `idx` and takes it out of the index and the usage
+  /// count, keeping its payload; its segment list is the caller's. Shard
+  /// lock held.
+  static void Drop(Shard& s, uint32_t idx);
+  /// Releases a dropped slot's payload and pushes it on the free list.
+  /// Shard lock held.
+  static void Free(Shard& s, uint32_t idx);
+  /// Appends valid slot `idx` to its segment's list. Shard lock held.
+  static void LinkSegment(Shard& s, uint32_t idx);
+  /// Removes `idx` from its segment's list by moving the list's last slot
+  /// into its place, the order EraseSegment then frees (and the free list
+  /// hands back) slots in. Shard lock held.
+  static void UnlinkSegment(Shard& s, uint32_t idx);
   uint64_t PerShardCapacity() const {
     return capacity() / shards_.size();
   }

@@ -41,7 +41,8 @@ namespace endure {
 
 class WalFlushService;
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/gzip one) over `len` bytes.
+/// CRC-32 (ISO-HDLC polynomial, the zlib/gzip one) over `len` bytes,
+/// computed slicing-by-8.
 uint32_t Crc32(const void* data, size_t len);
 
 /// Path of log generation `gen` in `dir`: `wal_<gen>.log`. Generation 0

@@ -1,17 +1,23 @@
 // Unit tests for the shared block cache and the memory-arbitration
 // policy: lookup/admission/eviction semantics, segment erasure, live
-// capacity retargeting, the pure ArbitrateMemory split, and the
-// engine-level knobs (Options validation, enable-after-open rule,
+// capacity retargeting, a seeded trace that pins the clock's victims, a
+// concurrent admit/lookup/erase run, the pure ArbitrateMemory split, and
+// the engine-level knobs (Options validation, enable-after-open rule,
 // arbiter-driven buffer retargeting).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "lsm/block_cache.h"
 #include "lsm/sharded_db.h"
 #include "lsm/statistics.h"
+#include "util/random.h"
 
 namespace endure::lsm {
 namespace {
@@ -196,6 +202,142 @@ TEST(BlockCacheTest, SetCapacityRetargetsLive) {
   cache.set_capacity(2 * 8 * sizeof(Entry));
   cache.Insert(store, 2, 0, page.data(), 8, nullptr);
   EXPECT_LE(cache.usage(), 2 * 8 * sizeof(Entry));
+}
+
+TEST(BlockCacheTest, SeededTraceEvictsAsTheParentDid) {
+  // Lookup-then-Insert over 3 stores x 8 segments x 64 pages of 1-8
+  // entries, skewed toward low page numbers so reference bits matter,
+  // with a segment erased every 5,000 ops and the capacity retargeted
+  // every 7,919. The counts below were recorded by running this trace on
+  // the node-based cache (unordered_map index, slots behind pointers)
+  // that the flat layout replaced: a different victim anywhere changes
+  // them.
+  constexpr uint64_t kCapacities[] = {8 << 10, 32 << 10, 64 << 10};
+  BlockCache cache(32 << 10);
+  const uint64_t stores[] = {cache.RegisterStore(), cache.RegisterStore(),
+                             cache.RegisterStore()};
+  Rng rng(20261018);
+  Statistics stats;
+  PageBuffer buf;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  for (uint64_t op = 0; op < 200000; ++op) {
+    if (op % 5000 == 4999) {
+      cache.EraseSegment(stores[rng.UniformInt(0, 2)], rng.UniformInt(0, 7));
+    }
+    if (op % 7919 == 7918) {
+      cache.set_capacity(kCapacities[rng.UniformInt(0, 2)]);
+    }
+    const uint64_t store = stores[rng.UniformInt(0, 2)];
+    const SegmentId segment = rng.UniformInt(0, 7);
+    const uint64_t page_idx =
+        std::min(rng.UniformInt(0, 63), rng.UniformInt(0, 63));
+    if (cache.Lookup(store, segment, page_idx, &buf)) {
+      ++hits;
+      continue;
+    }
+    ++misses;
+    const size_t count = 1 + (store * 31 + segment * 7 + page_idx) % 8;
+    const std::vector<Entry> page = MakePage(page_idx, count);
+    cache.Insert(store, segment, page_idx, page.data(), count, &stats);
+  }
+  EXPECT_EQ(hits, 39792u);
+  EXPECT_EQ(misses, 160208u);
+  EXPECT_EQ(stats.cache_evictions.load(), 159414u);
+  EXPECT_EQ(cache.usage(), 62464u);
+}
+
+TEST(BlockCacheTest, ConcurrentAdmitLookupEraseServesOnlyLivePages) {
+  // Four threads Lookup-then-Insert over one shared key space in phases.
+  // Phase p's live segments are [p, p + kLive); lookups also probe the
+  // segments already erased. At each barrier one thread erases the oldest
+  // live segment and retargets the capacity, so later phases run against
+  // slots freed by the erase, refilled by evictions and shed by shrinks.
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPhases = 12;
+  constexpr uint64_t kLive = 3;
+  constexpr uint64_t kPages = 48;
+  constexpr uint64_t kOpsPerPhase = 4000;
+  constexpr uint64_t kCapacities[] = {4 << 10, 16 << 10, 64 << 10};
+  BlockCache cache(16 << 10);
+  const uint64_t store = cache.RegisterStore();
+  // Every entry of a page encodes the page's key, so a hit that copied
+  // out another key's bytes shows.
+  const auto page_of = [](SegmentId segment, uint64_t page_idx) {
+    std::vector<Entry> page(1 + (segment + page_idx) % 8);
+    for (size_t i = 0; i < page.size(); ++i) {
+      page[i] = Entry{(segment << 32) | (page_idx << 8) | i, segment,
+                      page_idx, EntryType::kValue};
+    }
+    return page;
+  };
+  const auto same_page = [](const PageBuffer& got,
+                            const std::vector<Entry>& want) {
+    if (got.size() != want.size()) return false;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (got[i].key != want[i].key || got[i].seq != want[i].seq ||
+          got[i].value != want[i].value) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  uint64_t oldest_live = 0;  // written only by the barrier's completion
+  std::barrier phase_end(kThreads, [&]() noexcept {
+    cache.EraseSegment(store, oldest_live);
+    ++oldest_live;
+    cache.set_capacity(kCapacities[oldest_live % 3]);
+  });
+  Statistics stats;
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> erased_hits{0};
+  std::atomic<uint64_t> wrong_pages{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      PageBuffer buf;
+      for (uint64_t phase = 0; phase < kPhases; ++phase) {
+        const uint64_t live_lo = oldest_live;
+        for (uint64_t op = 0; op < kOpsPerPhase; ++op) {
+          const SegmentId segment = rng.UniformInt(0, live_lo + kLive - 1);
+          const uint64_t page_idx = rng.UniformInt(0, kPages - 1);
+          const std::vector<Entry> want = page_of(segment, page_idx);
+          if (cache.Lookup(store, segment, page_idx, &buf)) {
+            hits.fetch_add(1, std::memory_order_relaxed);
+            if (segment < live_lo) {
+              erased_hits.fetch_add(1, std::memory_order_relaxed);
+            } else if (!same_page(buf, want)) {
+              wrong_pages.fetch_add(1, std::memory_order_relaxed);
+            }
+          } else if (segment >= live_lo) {
+            cache.Insert(store, segment, page_idx, want.data(), want.size(),
+                         &stats);
+          }
+        }
+        phase_end.arrive_and_wait();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(erased_hits.load(), 0u);
+  EXPECT_EQ(wrong_pages.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_GT(stats.cache_evictions.load(), 0u);
+  // The byte accounting survived the races: usage is exactly the pages
+  // still resident, and no erased segment kept one.
+  PageBuffer buf;
+  uint64_t resident_bytes = 0;
+  for (SegmentId segment = 0; segment < kPhases + kLive; ++segment) {
+    for (uint64_t page_idx = 0; page_idx < kPages; ++page_idx) {
+      if (!cache.Lookup(store, segment, page_idx, &buf)) continue;
+      EXPECT_GE(segment, kPhases) << "erased segment " << segment;
+      EXPECT_TRUE(same_page(buf, page_of(segment, page_idx)));
+      resident_bytes += buf.size() * sizeof(Entry);
+    }
+  }
+  EXPECT_EQ(cache.usage(), resident_bytes);
 }
 
 TEST(ArbitrateMemoryTest, SplitsFollowReadShareWithClamps) {

@@ -1,10 +1,12 @@
 // Pins the zero-allocation guarantee of the buffered read path: after
 // warm-up, a point lookup through ShardedDB must perform no heap
 // allocations at all, on the memory backend and on the file backend with
-// the block cache on or off; and a scan's allocations must not grow with
-// the pages it reads. Lives in its own test binary because it replaces
-// the global allocator (operator new and aligned_alloc, which the file
-// backend's extent buffers come from) to count allocations.
+// the block cache off, on and evicting, or on and holding every page; a
+// scan's allocations must not grow with the pages it reads; and a cache
+// shrunk by the memory arbiter frees the payloads it sheds. Lives in its
+// own test binary because it replaces the global allocator (operator new
+// and aligned_alloc, which the file backend's extent buffers come from)
+// and operator delete to count allocations and frees.
 
 #include <gtest/gtest.h>
 
@@ -12,17 +14,26 @@
 #include <cstdlib>
 #include <new>
 
+#include "lsm/block_cache.h"
 #include "lsm/sharded_db.h"
 
 namespace {
 
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_frees{0};
 std::atomic<bool> g_counting{false};
 
 void CountAlloc() {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void CountedFree(void* p) {
+  if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
+    g_frees.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
 }
 
 }  // namespace
@@ -46,10 +57,10 @@ extern "C" void* aligned_alloc(std::size_t alignment,
   return posix_memalign(&p, alignment, size) == 0 ? p : nullptr;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace endure::lsm {
 namespace {
@@ -58,12 +69,14 @@ class AllocationScope {
  public:
   AllocationScope() {
     g_allocs.store(0, std::memory_order_relaxed);
+    g_frees.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   }
   ~AllocationScope() { g_counting.store(false, std::memory_order_relaxed); }
   uint64_t allocations() const {
     return g_allocs.load(std::memory_order_relaxed);
   }
+  uint64_t frees() const { return g_frees.load(std::memory_order_relaxed); }
 };
 
 std::unique_ptr<ShardedDB> LoadedDb(
@@ -127,11 +140,12 @@ TEST(ZeroAllocTest, ScanAllocationsAreBoundedByOutput) {
       << "scan path allocates per page or per entry";
 }
 
-/// The file backend with the block cache off, and on at a size that holds
-/// the whole data set (~640 KB decoded), so that after warm-up every page
-/// a lookup reads is a cache hit. Admitting a page to the cache allocates
-/// (index and slot bookkeeping), so the cache-on legs pin the warm state.
-constexpr uint64_t kCacheSizes[] = {0, 4 << 20};
+/// The file backend with the block cache off; on at 64 KiB, a tenth of
+/// the data set (~640 KB decoded), so lookups keep missing, admitting and
+/// evicting; and on at a size that holds the whole data set, so that after
+/// warm-up every page a lookup reads is a cache hit.
+constexpr uint64_t kEvictingCacheBytes = 64 << 10;
+constexpr uint64_t kCacheSizes[] = {0, kEvictingCacheBytes, 4 << 20};
 
 TEST(ZeroAllocTest, FilePointLookupsAllocateNothing) {
   for (const uint64_t cache_bytes : kCacheSizes) {
@@ -158,6 +172,10 @@ TEST(ZeroAllocTest, FilePointLookupsAllocateNothing) {
     const Statistics delta = db->TotalStats().Delta(before);
     if (cache_bytes == 0) {
       EXPECT_GE(delta.point_pages_read, 2000u);  // every hit preads
+    } else if (cache_bytes == kEvictingCacheBytes) {
+      // Admission ran and evicted inside the counted window.
+      EXPECT_GT(delta.cache_misses, 0u);
+      EXPECT_GT(delta.cache_evictions, 0u);
     } else {
       EXPECT_GE(delta.cache_hits, 2000u);
       EXPECT_EQ(delta.cache_misses, 0u);
@@ -196,6 +214,36 @@ TEST(ZeroAllocTest, FileScanAllocationsDoNotGrowWithPagesRead) {
         << " allocations for " << short_pages << " pages, " << long_allocs
         << " for " << long_pages;
   }
+}
+
+TEST(ZeroAllocTest, ShrunkCacheFreesEveryVictimButTheRefilledOne) {
+  // One cache shard holding 16 eight-entry pages is shrunk to a quarter,
+  // as the memory arbiter does. The next Insert evicts 13 pages to fit:
+  // it refills the last victim's slot and buffer in place and frees the
+  // other 12 payloads, so resident memory follows the capacity down.
+  constexpr uint64_t kPageBytes = 8 * sizeof(Entry);
+  BlockCache cache(16 * kPageBytes, /*num_shards=*/1);
+  const uint64_t store = cache.RegisterStore();
+  const std::vector<Entry> page(8);
+  Statistics stats;
+  for (uint64_t p = 0; p < 16; ++p) {
+    cache.Insert(store, /*segment=*/1, p, page.data(), 8, &stats);
+  }
+  ASSERT_EQ(cache.usage(), 16 * kPageBytes);
+  ASSERT_EQ(stats.cache_evictions.load(), 0u);
+  cache.set_capacity(4 * kPageBytes);
+  uint64_t allocs = 0;
+  uint64_t frees = 0;
+  {
+    AllocationScope scope;
+    cache.Insert(store, /*segment=*/1, 16, page.data(), 8, &stats);
+    allocs = scope.allocations();
+    frees = scope.frees();
+  }
+  EXPECT_EQ(stats.cache_evictions.load(), 13u);
+  EXPECT_EQ(frees, 12u) << "every victim but the refilled one frees";
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(cache.usage(), 4 * kPageBytes);
 }
 
 }  // namespace
