@@ -66,9 +66,11 @@ std::vector<SessionMeasurement> ExperimentRunner::Run(
             db->Get(op.key);
             break;
           case kRangeQuery:
-            // Measurement workload: the I/O is the point, a read error
-            // surfaces via Health() at the session boundary.
-            (void)db->Scan(op.key, op.limit);
+            // Measurement workload: the I/O is the point, so the entries
+            // are visited, not kept; a read error surfaces via Health()
+            // at the session boundary.
+            (void)db->Scan(op.key, op.limit,
+                           [](const lsm::Entry&) { return true; });
             break;
           case kWrite:
             db->Put(op.key, op.key);

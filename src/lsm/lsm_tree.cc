@@ -5,34 +5,11 @@
 #include <cstdio>
 #include <queue>
 
-#include "lsm/merge_iterator.h"
 #include "lsm/run_builder.h"
 #include "util/env.h"
 #include "util/fault_injection.h"
 
 namespace endure::lsm {
-namespace {
-
-/// Streams the memtable's entries in [lo, hi) without copying them out,
-/// bounded at `seq_bound` (each key yields its newest version with
-/// seq <= bound — the snapshot-read filter).
-class MemtableRangeStream final : public EntryStream {
- public:
-  MemtableRangeStream(const MemTable& memtable, Key lo, Key hi,
-                      SeqNum seq_bound)
-      : it_(memtable.NewIterator(seq_bound)), hi_(hi) {
-    it_.Seek(lo);
-  }
-  bool Valid() const override { return it_.Valid() && it_.entry().key < hi_; }
-  const Entry& entry() const override { return it_.entry(); }
-  void Next() override { it_.Next(); }
-
- private:
-  SkipList::Iterator it_;
-  Key hi_;
-};
-
-}  // namespace
 
 LsmTree::LsmTree(const Options& options, PageStore* store, Statistics* stats)
     : opts_(options),
@@ -279,82 +256,123 @@ std::optional<Value> LsmTree::Get(Key key) {
   return std::nullopt;
 }
 
-StatusOr<std::vector<Entry>> LsmTree::Scan(Key lo, Key hi) {
-  ++stats_->range_queries;
+LsmTree::RangeCursor::RangeCursor(LsmTree* tree, Key lo, Key hi)
+    : tree_(tree), hi_(hi) {
+  Statistics* stats = tree->stats_;
+  ++stats->range_queries;
   // Same lock-free protocol as Get(): snapshot, then visible bound.
-  const std::shared_ptr<const ReadSnapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
-  const SeqNum bound = visible_seq_.load(std::memory_order_acquire);
-  ++stats_->snapshot_acquires;
+  snap_ = tree->snapshot_.load(std::memory_order_acquire);
+  const SeqNum bound = tree->visible_seq_.load(std::memory_order_acquire);
+  ++stats->snapshot_acquires;
 
-  // Gather qualifying run iterators (adapters live on this frame; reserve
-  // keeps their addresses stable for the non-owning merge).
-  size_t total_runs = 0;
-  for (const auto& runs : snap->levels) total_runs += runs.size();
-  std::vector<StreamAdapter<Run::Iterator>> run_streams;
-  run_streams.reserve(total_runs);
-  MemtableRangeStream memtable_stream(*snap->active, lo, hi, bound);
-  std::vector<EntryStream*> heads;
-  heads.reserve(total_runs + 2);
-  // Active buffer first (rank 0 = most recent source), then the sealed
-  // buffer (rank 1, older than active but newer than any run); no I/O.
-  if (memtable_stream.Valid()) heads.push_back(&memtable_stream);
-  std::optional<MemtableRangeStream> sealed_stream;
-  if (snap->sealed != nullptr) {
-    sealed_stream.emplace(*snap->sealed, lo, hi, bound);
-    if (sealed_stream->Valid()) heads.push_back(&*sealed_stream);
+  // No I/O for the buffers: the active one is rank 0, the sealed one
+  // (older than active, newer than any run) rank 1.
+  mem_[0] = snap_->active->NewIterator(bound);
+  mem_[0].Seek(lo);
+  mem_key_[0] = MemHead(mem_[0]);
+  if (snap_->sealed != nullptr) {
+    mem_[1] = snap_->sealed->NewIterator(bound);
+    mem_[1].Seek(lo);
+    mem_key_[1] = MemHead(mem_[1]);
   }
 
-  for (const auto& runs : snap->levels) {
+  size_t total_runs = 0;
+  for (const auto& runs : snap_->levels) total_runs += runs.size();
+  runs_.reserve(total_runs);
+  for (const auto& runs : snap_->levels) {
     for (const auto& run : runs) {
       std::optional<Run::Iterator> it = run->NewRangeIterator(lo, hi);
-      if (it.has_value()) {
-        run_streams.emplace_back(std::move(*it));
-        heads.push_back(&run_streams.back());
-      } else if (!snap->fence_pointer_skip) {
+      if (!it.has_value()) {
         // Model-faithful mode: the analytical cost model charges one seek
         // per run regardless of overlap; emulate the blind seek by reading
         // the run's first page.
-        run->BlindSeek();
+        if (!snap_->fence_pointer_skip) run->BlindSeek();
+        continue;
+      }
+      runs_.push_back(RunSource{std::move(*it), kEnd});
+      RunSource& source = runs_.back();
+      // Run iterators are page-aligned: skip the first page's keys below
+      // lo (every later page starts above lo, so this loads none).
+      while (source.it.Valid() && source.it.entry().key < lo) {
+        source.it.Next();
+      }
+      if (!RunHead(&source)) return;
+    }
+  }
+  Settle(kEnd);
+}
+
+bool LsmTree::RangeCursor::RunHead(RunSource* run) {
+  if (run->it.Valid()) {
+    const Key key = run->it.entry().key;
+    run->key = key < hi_ ? key : kEnd;
+    return true;
+  }
+  run->key = kEnd;
+  if (run->it.status().ok()) return true;
+  // A run iterator that hit an I/O or checksum error dies in place; the
+  // rest of the range would read as deleted keys, so end the cursor
+  // with the error — and latch, so the fault does not go unnoticed
+  // engine-wide.
+  status_ = run->it.status();
+  tree_->LatchBackgroundError(status_);
+  current_ = nullptr;
+  key_ = kEnd;
+  return false;
+}
+
+void LsmTree::RangeCursor::Next() {
+  ENDURE_DCHECK(Valid());
+  Settle(key_);
+}
+
+void LsmTree::RangeCursor::Settle(Key past) {
+  // Every source holds each key at most once, so stepping a source past
+  // `past` is one Next(). Sources are visited in rank order and a later
+  // one wins only with a strictly smaller head: among equal heads the
+  // newest source wins, and the older versions are stepped past with
+  // it. A source's head is kEnd once its next key is >= hi: by then it
+  // has read every page that starts inside the range, so the page count
+  // equals a full drain's.
+  for (;;) {
+    Key min = kEnd;
+    const Entry* winner = nullptr;
+    for (int i = 0; i < 2; ++i) {
+      if (mem_key_[i] == kEnd) continue;
+      if (mem_key_[i] == past) {
+        mem_[i].Next();
+        mem_key_[i] = MemHead(mem_[i]);
+      }
+      if (mem_key_[i] < min) {
+        min = mem_key_[i];
+        winner = &mem_[i].entry();
       }
     }
+    for (RunSource& run : runs_) {
+      if (run.key == kEnd) continue;
+      if (run.key == past) {
+        run.it.Next();
+        if (!RunHead(&run)) return;
+      }
+      if (run.key < min) {
+        min = run.key;
+        winner = &run.it.entry();
+      }
+    }
+    if (winner == nullptr || !winner->is_tombstone()) {
+      current_ = winner;
+      key_ = min;
+      return;
+    }
+    past = min;  // a tombstone hides its key: step past it
   }
+}
 
-  // Drain, trimming to [lo, hi) on the fly: run iterators are page-aligned
-  // and may cover keys outside the range. The merged stream is sorted, so
-  // the first key >= hi ends the scan — every page whose first key is
-  // inside the range has been read by then, leaving the page-read count
-  // identical to a full drain.
+StatusOr<std::vector<Entry>> LsmTree::Scan(Key lo, Key hi) {
   std::vector<Entry> out;
-  if (heads.size() == 1) {
-    // Fast path: one qualifying source (the common case under leveling) —
-    // no need to pay the k-way merge's per-key scans.
-    EntryStream* s = heads.front();
-    for (; s->Valid(); s->Next()) {
-      const Entry& e = s->entry();
-      if (e.key < lo) continue;
-      if (e.key >= hi) break;
-      if (!e.is_tombstone()) out.push_back(e);
-    }
-  } else {
-    MergeIterator merge(std::move(heads));
-    for (; merge.Valid(); merge.Next()) {
-      const Entry& e = merge.entry();
-      if (e.key < lo) continue;
-      if (e.key >= hi) break;
-      if (!e.is_tombstone()) out.push_back(e);
-    }
-  }
-  // A run iterator that hit an I/O or checksum error looks exhausted to
-  // the merge (it dies in place); a truncated result would read as
-  // deleted keys, so fail the scan — and latch, so the fault does not go
-  // unnoticed engine-wide.
-  for (const auto& stream : run_streams) {
-    if (!stream.iter().status().ok()) {
-      LatchBackgroundError(stream.iter().status());
-      return stream.iter().status();
-    }
-  }
+  RangeCursor cursor(this, lo, hi);
+  for (; cursor.Valid(); cursor.Next()) out.push_back(cursor.entry());
+  ENDURE_RETURN_IF_ERROR(cursor.status());
   return out;
 }
 

@@ -238,13 +238,73 @@ class LsmTree {
   /// call from any thread concurrently with writes and maintenance.
   std::optional<Value> Get(Key key);
 
-  /// Range query over [lo, hi): merges all qualifying sources, returns
-  /// live entries in key order. Lock-free, same snapshot protocol as
-  /// Get(); the result is a point-in-time view (an exact prefix of the
-  /// applied write sequence). A page that cannot be read (I/O error,
-  /// checksum mismatch) fails the whole scan — a silently truncated
-  /// result would be indistinguishable from deleted keys — and latches
-  /// the tree (see Health()).
+  /// A forward cursor over the live entries in [lo, hi), in key order:
+  /// the scan, advanced one entry at a time, so its reader holds one
+  /// entry rather than the range. Opening it counts one range query,
+  /// acquires the snapshot (one atomic load, then the visible bound, as
+  /// in Get()) and opens a page iterator on every run the range
+  /// overlaps (one range seek and its first page read each; with fence
+  /// skipping off, every other run is charged a blind seek). The active
+  /// buffer, the sealed buffer and the runs then merge newest source
+  /// first, trimmed to the range, with tombstones dropped. The view is
+  /// the snapshot's however long the cursor lives: an exact prefix of
+  /// the applied write sequence. A page that cannot be read (I/O error,
+  /// checksum mismatch) ends the cursor with that status and latches the
+  /// tree (see Health()) — entries already visited are then not an
+  /// answer, since the rest would read as deleted keys. Movable; its
+  /// entry() stays valid until the next Next().
+  class RangeCursor {
+   public:
+    /// One past every key a scan can yield (hi is exclusive, so a scan
+    /// never reaches the largest key): the head of an ended source.
+    static constexpr Key kEnd = ~Key{0};
+
+    RangeCursor(LsmTree* tree, Key lo, Key hi);
+
+    /// True while positioned on an entry; false at the end of the range
+    /// or after a read error (see status()).
+    bool Valid() const { return key_ != kEnd; }
+    /// The current entry's key, or kEnd once the cursor ended.
+    Key key() const { return key_; }
+    const Entry& entry() const { return *current_; }
+    void Next();
+    /// OK unless a page read failed, which also ended the cursor.
+    const Status& status() const { return status_; }
+
+   private:
+    /// A run's page iterator and its head key (kEnd once it ended or
+    /// passed hi).
+    struct RunSource {
+      Run::Iterator it;
+      Key key;
+    };
+
+    /// Steps every source whose head is `past` beyond it (pass kEnd to
+    /// step none), then settles on the newest source holding the smallest
+    /// head; repeats past tombstones. Ends the cursor on a read error.
+    void Settle(Key past);
+    /// Refreshes `run`'s head; false (cursor ended, tree latched) when
+    /// its iterator died on a read error.
+    bool RunHead(RunSource* run);
+    Key MemHead(const SkipList::Iterator& it) const {
+      return it.Valid() && it.entry().key < hi_ ? it.entry().key : kEnd;
+    }
+
+    LsmTree* tree_;
+    std::shared_ptr<const ReadSnapshot> snap_;  ///< keeps the sources alive
+    Key hi_;
+    /// The active (rank 0) and sealed (rank 1) buffers, then the runs in
+    /// level order, newest first.
+    SkipList::Iterator mem_[2];
+    Key mem_key_[2] = {kEnd, kEnd};
+    std::vector<RunSource> runs_;
+    const Entry* current_ = nullptr;
+    Key key_ = kEnd;
+    Status status_;
+  };
+
+  /// Range query over [lo, hi): the RangeCursor's entries collected into
+  /// a vector, or its read error.
   StatusOr<std::vector<Entry>> Scan(Key lo, Key hi);
 
   /// Flushes the sealed buffer (if any) and then the active memtable, in

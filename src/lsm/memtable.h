@@ -64,6 +64,8 @@ class SkipList {
   /// skipped). The default bound yields the newest version of every key.
   class Iterator {
    public:
+    /// An iterator over nothing: Valid() is false.
+    Iterator() = default;
     explicit Iterator(const SkipList* list, SeqNum bound = kMaxSeq);
     bool Valid() const { return node_ != nullptr; }
     const Entry& entry() const;
@@ -78,9 +80,9 @@ class SkipList {
     /// Precondition: node_ is the first (newest) stored version of its key.
     void SkipToVisible();
 
-    const SkipList* list_;
-    const void* node_;
-    SeqNum bound_;
+    const SkipList* list_ = nullptr;
+    const void* node_ = nullptr;
+    SeqNum bound_ = kMaxSeq;
   };
 
   Iterator NewIterator() const { return Iterator(this); }

@@ -4,14 +4,6 @@
 
 namespace endure::lsm {
 
-MergeIterator::MergeIterator(
-    std::vector<std::unique_ptr<EntryStream>> inputs)
-    : owned_(std::move(inputs)) {
-  inputs_.reserve(owned_.size());
-  for (const auto& s : owned_) inputs_.push_back(s.get());
-  FindNext();
-}
-
 MergeIterator::MergeIterator(std::vector<EntryStream*> inputs)
     : inputs_(std::move(inputs)) {
   FindNext();
@@ -54,17 +46,6 @@ void MergeIterator::FindNext() {
     if (input == nullptr) continue;
     while (input->Valid() && input->entry().key == min_key) input->Next();
   }
-}
-
-std::vector<Entry> DrainMerge(MergeIterator* merge, bool drop_tombstones) {
-  ENDURE_CHECK(merge != nullptr);
-  std::vector<Entry> out;
-  while (merge->Valid()) {
-    const Entry& e = merge->entry();
-    if (!(drop_tombstones && e.is_tombstone())) out.push_back(e);
-    merge->Next();
-  }
-  return out;
 }
 
 }  // namespace endure::lsm

@@ -9,16 +9,15 @@
 #ifndef ENDURE_LSM_MERGE_ITERATOR_H_
 #define ENDURE_LSM_MERGE_ITERATOR_H_
 
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "lsm/entry.h"
 
 namespace endure::lsm {
 
-/// Type-erased forward entry stream (adapts run iterators, memtable
-/// iterators and vectors).
+/// Type-erased forward entry stream (adapts run iterators for
+/// compaction merges).
 class EntryStream {
  public:
   virtual ~EntryStream() = default;
@@ -45,30 +44,12 @@ class StreamAdapter final : public EntryStream {
   Iter iter_;
 };
 
-/// Stream over an in-memory vector of entries.
-class VectorStream final : public EntryStream {
- public:
-  explicit VectorStream(std::vector<Entry> entries)
-      : entries_(std::move(entries)) {}
-  bool Valid() const override { return pos_ < entries_.size(); }
-  const Entry& entry() const override { return entries_[pos_]; }
-  void Next() override { ++pos_; }
-
- private:
-  std::vector<Entry> entries_;
-  size_t pos_ = 0;
-};
-
 /// Merging iterator: emits one entry per distinct key, newest-source wins.
 /// Tombstones are emitted (callers decide whether to drop them).
 class MergeIterator {
  public:
-  /// Owning variant: takes the streams. `inputs[i]` has rank i: lower
-  /// rank = more recent source.
-  explicit MergeIterator(std::vector<std::unique_ptr<EntryStream>> inputs);
-
-  /// Non-owning variant for allocation-lean callers: the streams must
-  /// outlive the iterator. Rank semantics as above; null entries allowed.
+  /// `inputs[i]` has rank i: lower rank = more recent source. The streams
+  /// must outlive the iterator; null entries are allowed.
   explicit MergeIterator(std::vector<EntryStream*> inputs);
 
   bool Valid() const;
@@ -79,15 +60,10 @@ class MergeIterator {
   /// Advances to the next distinct key, resolving conflicts by rank.
   void FindNext();
 
-  std::vector<std::unique_ptr<EntryStream>> owned_;
   std::vector<EntryStream*> inputs_;
   Entry current_;
   bool valid_ = false;
 };
-
-/// Drains a merge iterator into a vector, optionally dropping tombstones
-/// (used by compactions into the bottom level and by range queries).
-std::vector<Entry> DrainMerge(MergeIterator* merge, bool drop_tombstones);
 
 }  // namespace endure::lsm
 

@@ -145,16 +145,7 @@ void Run::Iterator::LoadPage(size_t page) {
   index_in_page_ = 0;
 }
 
-bool Run::Iterator::Valid() const { return !exhausted_; }
-
-const Entry& Run::Iterator::entry() const {
-  ENDURE_DCHECK(Valid());
-  return view_[index_in_page_];
-}
-
-void Run::Iterator::Next() {
-  ENDURE_DCHECK(Valid());
-  if (++index_in_page_ < view_.size) return;
+void Run::Iterator::NextPage() {
   if (current_page_ == end_page_) {
     exhausted_ = true;
     return;

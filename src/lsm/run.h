@@ -92,9 +92,17 @@ class Run {
     Iterator(Iterator&&) = default;
     Iterator& operator=(Iterator&&) = default;
 
-    bool Valid() const;
-    const Entry& entry() const;
-    void Next();
+    bool Valid() const { return !exhausted_; }
+    const Entry& entry() const {
+      ENDURE_DCHECK(Valid());
+      return view_[index_in_page_];
+    }
+    /// Inline within a page; crossing into the next page is out of line.
+    void Next() {
+      ENDURE_DCHECK(Valid());
+      if (++index_in_page_ < view_.size) return;
+      NextPage();
+    }
 
     /// OK while every page loaded cleanly. A failed page read ends the
     /// iteration (Valid() goes false) with the error recorded here —
@@ -104,6 +112,7 @@ class Run {
 
    private:
     void LoadPage(size_t page);
+    void NextPage();
 
     const Run* run_;
     size_t end_page_;

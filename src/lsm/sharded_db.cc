@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "lsm/manifest.h"
-#include "lsm/merge_iterator.h"
 #include "util/env.h"
 
 namespace endure::lsm {
@@ -459,27 +458,60 @@ std::optional<Value> ShardedDB::Get(Key key) {
 }
 
 StatusOr<std::vector<Entry>> ShardedDB::Scan(Key lo, Key hi) {
-  if (shards_.size() == 1) {
-    return shards_.front()->tree->Scan(lo, hi);
-  }
-  // Snapshot each shard lock-free, then merge. Shards hold disjoint key
-  // sets, so the merge is a sorted union (ranks never break ties) and
-  // per-shard results carry no tombstones.
-  std::vector<std::unique_ptr<EntryStream>> streams;
-  streams.reserve(shards_.size());
-  for (auto& shard_ptr : shards_) {
-    Shard* shard = shard_ptr.get();
-    StatusOr<std::vector<Entry>> part_or = shard->tree->Scan(lo, hi);
-    // First failing shard wins; a partial cross-shard result would look
-    // exactly like missing keys to the caller.
-    ENDURE_RETURN_IF_ERROR(part_or.status());
-    if (!part_or->empty()) {
-      streams.push_back(
-          std::make_unique<VectorStream>(std::move(*part_or)));
+  std::vector<Entry> out;
+  ENDURE_RETURN_IF_ERROR(Scan(lo, hi, [&out](const Entry& e) {
+    out.push_back(e);
+    return true;
+  }));
+  return out;
+}
+
+ShardedDB::ShardUnion::ShardUnion(
+    const std::vector<std::unique_ptr<Shard>>& shards, Key lo, Key hi)
+    : failed_(shards.size()) {
+  cursors_.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    cursors_.emplace_back(shards[i]->tree.get(), lo, hi);
+    if (!cursors_.back().status().ok()) {
+      failed_ = i;  // the shards after it are never opened
+      return;
     }
   }
-  MergeIterator merge(std::move(streams));
-  return DrainMerge(&merge, /*drop_tombstones=*/true);
+  Pick();
+}
+
+void ShardedDB::ShardUnion::Pick() {
+  current_ = nullptr;
+  Key min = LsmTree::RangeCursor::kEnd;
+  for (LsmTree::RangeCursor& cursor : cursors_) {
+    if (cursor.key() < min) {
+      min = cursor.key();
+      current_ = &cursor;
+    }
+  }
+}
+
+void ShardedDB::ShardUnion::Next() {
+  current_->Next();
+  if (!current_->status().ok()) {
+    failed_ = static_cast<size_t>(current_ - cursors_.data());
+    current_ = nullptr;
+    return;
+  }
+  Pick();
+}
+
+Status ShardedDB::ShardUnion::Finish() {
+  if (failed_ == cursors_.size()) return Status::OK();
+  // Errors surface in key order, but the contract names the
+  // lowest-numbered failing shard: the shards below the one that failed
+  // read the rest of the range to find out.
+  for (size_t i = 0; i < failed_; ++i) {
+    LsmTree::RangeCursor& cursor = cursors_[i];
+    while (cursor.Valid()) cursor.Next();
+    if (!cursor.status().ok()) return cursor.status();
+  }
+  return cursors_[failed_].status();
 }
 
 Status ShardedDB::Flush() {

@@ -96,12 +96,24 @@ class ShardedDB {
   /// on the same shard.
   std::optional<Value> Get(Key key);
 
-  /// Range query over [lo, hi): merges the per-shard results (shards hold
-  /// disjoint key sets, so this is a sorted union) in key order. Lock-free
-  /// like Get(); shards are snapshotted one at a time — the scan is a
-  /// point-in-time view per shard, not across shards, like an iterator
-  /// over a sharded RocksDB deployment. Returns the first failing shard's
-  /// read error (I/O or checksum) instead of a silently truncated result.
+  /// Range query over [lo, hi), streamed: calls `visit(const Entry&)` on
+  /// each live entry in key order until it returns false or the range
+  /// ends; no result is staged. Opening the scan opens one
+  /// LsmTree::RangeCursor per shard, each on its shard's snapshot, and
+  /// the shards' disjoint key sets make the scan one sorted union of
+  /// those cursors. Lock-free like Get(); a point-in-time view per shard,
+  /// not across shards, like an iterator over a sharded RocksDB
+  /// deployment. Returns OK when the range ended or the visitor stopped.
+  /// A page that cannot be read (I/O or checksum) ends the scan with the
+  /// lowest-numbered failing shard's error (shards below the one that
+  /// failed first read the rest of the range to find out), and that
+  /// shard latches. Entries visited before a non-OK return are not an
+  /// answer: the rest of the range would read as deleted keys.
+  template <typename Visitor>
+  Status Scan(Key lo, Key hi, Visitor&& visit);
+
+  /// Range query over [lo, hi): the streamed scan's entries collected
+  /// into a vector, or its error.
   StatusOr<std::vector<Entry>> Scan(Key lo, Key hi);
 
   /// Synchronously flushes every shard (sealed buffer first, then the
@@ -250,6 +262,31 @@ class ShardedDB {
     int maintenance_failures = 0;
   };
 
+  /// A scan: the union of one RangeCursor per shard, all opened (and
+  /// snapshotted) up front. Keys are disjoint across shards, so the next
+  /// entry is the smallest head, with no ties to break.
+  class ShardUnion {
+   public:
+    ShardUnion(const std::vector<std::unique_ptr<Shard>>& shards, Key lo,
+               Key hi);
+    bool Valid() const { return current_ != nullptr; }
+    const Entry& entry() const { return current_->entry(); }
+    void Next();
+    /// Call once Valid() is false: OK at the end of the range, else the
+    /// lowest-numbered failing shard's error.
+    Status Finish();
+
+   private:
+    /// Points current_ at the cursor with the smallest head (null when
+    /// every cursor ended).
+    void Pick();
+
+    std::vector<LsmTree::RangeCursor> cursors_;
+    LsmTree::RangeCursor* current_ = nullptr;
+    /// The first cursor that failed, or cursors_.size().
+    size_t failed_;
+  };
+
   /// `defer_shards` leaves shards_ empty for Open's durable path, which
   /// builds each shard with its own (possibly recovered) options.
   explicit ShardedDB(const Options& options, bool defer_shards = false);
@@ -340,6 +377,15 @@ class ShardedDB {
   /// drains queued jobs while the shards they reference are still alive.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+template <typename Visitor>
+Status ShardedDB::Scan(Key lo, Key hi, Visitor&& visit) {
+  ShardUnion scan(shards_, lo, hi);
+  for (; scan.Valid(); scan.Next()) {
+    if (!visit(scan.entry())) return Status::OK();
+  }
+  return scan.Finish();
+}
 
 }  // namespace endure::lsm
 

@@ -342,18 +342,25 @@ std::string EncodeGetResponse(uint64_t id, std::optional<lsm::Value> value) {
   return EncodeFrame(ResponseOpcode(Opcode::kGet), id, payload);
 }
 
-std::string EncodeScanResponse(
-    uint64_t id, const std::vector<std::pair<lsm::Key, lsm::Value>>& entries) {
-  std::string payload;
-  payload.reserve(4 + 3 + entries.size() * 16);
-  WireWriter w(&payload);
-  WriteWireStatus(&w, Status::OK());
-  w.U32(static_cast<uint32_t>(entries.size()));
-  for (const auto& [key, value] : entries) {
-    w.U64(key);
-    w.U64(value);
-  }
-  return EncodeFrame(ResponseOpcode(Opcode::kScan), id, payload);
+ScanResponseWriter::ScanResponseWriter(std::string* out, uint64_t request_id)
+    : out_(out), start_(out->size()) {
+  WireWriter w(out);
+  w.U32(kFrameMagic);
+  w.U8(ResponseOpcode(Opcode::kScan));
+  w.U64(request_id);
+  w.U32(0);  // payload length, patched by Finish
+  // The OK status block: code u8 | msg_len u16, no message.
+  w.U8(static_cast<uint8_t>(StatusCode::kOk));
+  w.U16(0);
+  w.U32(0);  // entry count, patched by Finish
+}
+
+void ScanResponseWriter::Finish() {
+  char* frame = out_->data() + start_;
+  const auto payload_len =
+      static_cast<uint32_t>(out_->size() - start_ - kFrameHeaderBytes);
+  std::memcpy(frame + kFrameHeaderBytes - 4, &payload_len, 4);
+  std::memcpy(frame + kFrameHeaderBytes + 3, &count_, 4);
 }
 
 std::string EncodeStatsResponse(uint64_t id,

@@ -243,8 +243,36 @@ Status ParseHelloRequest(const Frame& f, std::string* tenant_id);
 std::string EncodeStatusResponse(Opcode request_op, uint64_t id,
                                  const Status& status);
 std::string EncodeGetResponse(uint64_t id, std::optional<lsm::Value> value);
-std::string EncodeScanResponse(
-    uint64_t id, const std::vector<std::pair<lsm::Key, lsm::Value>>& entries);
+
+/// The SCAN response encoder: writes one frame in place at the end of
+/// `out`, an entry at a time, so a server streams a scan into its
+/// connection's out-buffer without staging the entries. The constructor
+/// appends the header, an OK status block and a zero count; Add appends
+/// one `key u64 | value u64` pair; Finish patches the payload length and
+/// the count. Abandon instead truncates `out` back to where the frame
+/// began, for a scan that fails or outgrows the frame (the caller then
+/// answers with a status frame).
+class ScanResponseWriter {
+ public:
+  ScanResponseWriter(std::string* out, uint64_t request_id);
+
+  void Add(lsm::Key key, lsm::Value value) {
+    char pair[16];
+    std::memcpy(pair, &key, 8);
+    std::memcpy(pair + 8, &value, 8);
+    out_->append(pair, sizeof(pair));
+    ++count_;
+  }
+  uint32_t count() const { return count_; }
+  void Finish();
+  void Abandon() { out_->resize(start_); }
+
+ private:
+  std::string* out_;
+  size_t start_;  ///< offset of the frame's first byte in *out_
+  uint32_t count_ = 0;
+};
+
 std::string EncodeStatsResponse(uint64_t id,
                                 const std::vector<StatPair>& stats);
 /// A protocol-level error frame (request id 0): sent once before the

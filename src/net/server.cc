@@ -673,35 +673,11 @@ void Server::DispatchFrame(Conn* conn, const Frame& frame) {
     case Opcode::kScan: {
       lsm::Key lo, hi;
       Status st = ParseScanRequest(frame, &lo, &hi);
+      if (st.ok()) st = QueueScanResponse(conn, frame.request_id, lo, hi);
       if (!st.ok()) {
         QueueResponse(
             conn, EncodeStatusResponse(Opcode::kScan, frame.request_id, st));
-        return;
       }
-      auto result = db_->Scan(lo, hi);
-      if (!result.ok()) {
-        QueueResponse(conn, EncodeStatusResponse(Opcode::kScan,
-                                                 frame.request_id,
-                                                 result.status()));
-        return;
-      }
-      const size_t max_entries = (options_.max_frame_payload - 32) / 16;
-      if (result->size() > max_entries) {
-        QueueResponse(
-            conn,
-            EncodeStatusResponse(
-                Opcode::kScan, frame.request_id,
-                Status::OutOfRange(
-                    "scan result (" + std::to_string(result->size()) +
-                    " entries) exceeds the per-frame limit (" +
-                    std::to_string(max_entries) +
-                    "); narrow the range")));
-        return;
-      }
-      std::vector<std::pair<lsm::Key, lsm::Value>> entries;
-      entries.reserve(result->size());
-      for (const lsm::Entry& e : *result) entries.emplace_back(e.key, e.value);
-      QueueResponse(conn, EncodeScanResponse(frame.request_id, entries));
       return;
     }
     case Opcode::kStats: {
@@ -806,12 +782,45 @@ void Server::FlushPendingPuts(Conn* conn) {
 
 void Server::QueueResponse(Conn* conn, std::string frame_bytes) {
   requests_served_.fetch_add(1, std::memory_order_relaxed);
+  *OutBuffer(conn) += frame_bytes;
+}
+
+std::string* Server::OutBuffer(Conn* conn) {
   // Compact the consumed prefix before it dominates the buffer.
   if (conn->out_off > 0 && conn->out_off >= conn->outbuf.size() / 2) {
     conn->outbuf.erase(0, conn->out_off);
     conn->out_off = 0;
   }
-  conn->outbuf += frame_bytes;
+  return &conn->outbuf;
+}
+
+Status Server::QueueScanResponse(Conn* conn, uint64_t request_id,
+                                 lsm::Key lo, lsm::Key hi) {
+  // Entries go straight from the engine's cursors into the frame: a SCAN
+  // holds one frame of memory, and stops reading at the frame limit.
+  const size_t max_entries = (options_.max_frame_payload - 32) / 16;
+  ScanResponseWriter writer(OutBuffer(conn), request_id);
+  bool too_big = false;
+  Status st = db_->Scan(lo, hi, [&](const lsm::Entry& e) {
+    if (writer.count() == max_entries) {
+      too_big = true;
+      return false;
+    }
+    writer.Add(e.key, e.value);
+    return true;
+  });
+  if (st.ok() && too_big) {
+    st = Status::OutOfRange("scan result exceeds the per-frame limit (" +
+                            std::to_string(max_entries) +
+                            " entries); narrow the range");
+  }
+  if (!st.ok()) {
+    writer.Abandon();  // never a partial frame
+    return st;
+  }
+  writer.Finish();
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 void Server::FlushWrites(Conn* conn) {

@@ -190,6 +190,15 @@ class Server {
   /// PutBatch group commit and queues one response per PUT.
   void FlushPendingPuts(Conn* conn);
   void QueueResponse(Conn* conn, std::string frame_bytes);
+  /// The connection's out-buffer, its sent prefix compacted away, for a
+  /// response encoded in place.
+  std::string* OutBuffer(Conn* conn);
+  /// Streams a SCAN's entries into its response frame in the out-buffer
+  /// and queues it. Non-OK (a read error, or a result past the frame
+  /// limit, where it stops reading) leaves the buffer as it was; the
+  /// caller answers the status instead.
+  Status QueueScanResponse(Conn* conn, uint64_t request_id, lsm::Key lo,
+                           lsm::Key hi);
   /// Writes as much of conn->outbuf as the socket accepts; arms/disarms
   /// EPOLLOUT; closes the connection when `closing` and drained.
   void FlushWrites(Conn* conn);

@@ -416,6 +416,39 @@ TEST(CorruptionTest, TornPageStagedBetweenCleanPagesFailsReopen) {
       << reopened.status().message();
 }
 
+TEST(CorruptionTest, ShardedScanAnswersTheLowestNumberedFailingShard) {
+  // A scan over four shards meets shard 3's rot first in key order, yet
+  // answers the error of the lowest-numbered shard whose part of the
+  // range is unreadable: the shards below 3 read the rest of the range,
+  // and shard 1's rot, in its largest keys, is the error returned — and
+  // the latch Health() reports.
+  Options opts = DurableOpts(FreshDir("scan_lowest_shard"));
+  opts.num_shards = 4;
+  opts.buffer_entries = 1024;  // one flushed run per shard
+  SeedDeployment(opts, 512);
+  auto opened = ShardedDB::Open(opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::unique_ptr<ShardedDB> db = std::move(opened).value();
+  const std::vector<std::string> low = SegmentFiles(opts.storage_dir, 1);
+  const std::vector<std::string> high = SegmentFiles(opts.storage_dir, 3);
+  ASSERT_EQ(low.size(), 1u);
+  ASSERT_EQ(high.size(), 1u);
+  const auto low_pages = static_cast<size_t>(
+      std::filesystem::file_size(low.front()) / kPageDiskBytes);
+  ASSERT_GT(low_pages, 8u);
+  RotPage(high.front(), 2);
+  RotPage(low.front(), low_pages - 1);
+
+  const StatusOr<std::vector<Entry>> got = db->Scan(0, 512);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(got.status().message().find("shard_1/"), std::string::npos)
+      << got.status().message();
+  const Status health = db->Health();
+  EXPECT_EQ(health.code(), StatusCode::kCorruption);
+  EXPECT_EQ(health.message().rfind("shard 1: ", 0), 0u) << health.message();
+}
+
 TEST(CorruptionTest, UndamagedDeploymentScrubsClean) {
   const std::string dir = FreshDir("clean_scrub");
   Options opts = DurableOpts(dir);

@@ -10,9 +10,19 @@ Entry Val(Key k, SeqNum s, Value v) {
 }
 Entry Tomb(Key k, SeqNum s) { return Entry{k, s, 0, EntryType::kTombstone}; }
 
-std::unique_ptr<EntryStream> Stream(std::vector<Entry> v) {
-  return std::make_unique<VectorStream>(std::move(v));
-}
+/// Test scaffolding: a stream over an in-memory vector of entries.
+class VectorStream final : public EntryStream {
+ public:
+  explicit VectorStream(std::vector<Entry> entries)
+      : entries_(std::move(entries)) {}
+  bool Valid() const override { return pos_ < entries_.size(); }
+  const Entry& entry() const override { return entries_[pos_]; }
+  void Next() override { ++pos_; }
+
+ private:
+  std::vector<Entry> entries_;
+  size_t pos_ = 0;
+};
 
 TEST(VectorStreamTest, IteratesInOrder) {
   VectorStream s({Val(1, 1, 10), Val(2, 1, 20)});
@@ -25,20 +35,18 @@ TEST(VectorStreamTest, IteratesInOrder) {
 }
 
 TEST(MergeIteratorTest, MergesDisjointStreams) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Val(1, 9, 1), Val(3, 9, 3)}));
-  in.push_back(Stream({Val(2, 1, 2), Val(4, 1, 4)}));
-  MergeIterator m(std::move(in));
+  VectorStream a({Val(1, 9, 1), Val(3, 9, 3)});
+  VectorStream b({Val(2, 1, 2), Val(4, 1, 4)});
+  MergeIterator m({&a, &b});
   std::vector<Key> keys;
   for (; m.Valid(); m.Next()) keys.push_back(m.entry().key);
   EXPECT_EQ(keys, (std::vector<Key>{1, 2, 3, 4}));
 }
 
 TEST(MergeIteratorTest, NewestSourceWinsOnDuplicateKey) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Val(5, 100, 555)}));  // rank 0: newest
-  in.push_back(Stream({Val(5, 50, 111)}));   // rank 1: older
-  MergeIterator m(std::move(in));
+  VectorStream newer({Val(5, 100, 555)});  // rank 0: newest
+  VectorStream older({Val(5, 50, 111)});   // rank 1: older
+  MergeIterator m({&newer, &older});
   ASSERT_TRUE(m.Valid());
   EXPECT_EQ(m.entry().value, 555u);
   m.Next();
@@ -46,11 +54,10 @@ TEST(MergeIteratorTest, NewestSourceWinsOnDuplicateKey) {
 }
 
 TEST(MergeIteratorTest, ThreeWayDuplicates) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Val(1, 30, 13), Val(2, 31, 23)}));
-  in.push_back(Stream({Val(1, 20, 12)}));
-  in.push_back(Stream({Val(1, 10, 11), Val(3, 11, 31)}));
-  MergeIterator m(std::move(in));
+  VectorStream a({Val(1, 30, 13), Val(2, 31, 23)});
+  VectorStream b({Val(1, 20, 12)});
+  VectorStream c({Val(1, 10, 11), Val(3, 11, 31)});
+  MergeIterator m({&a, &b, &c});
   std::vector<std::pair<Key, Value>> got;
   for (; m.Valid(); m.Next()) got.push_back({m.entry().key, m.entry().value});
   EXPECT_EQ(got, (std::vector<std::pair<Key, Value>>{{1, 13}, {2, 23},
@@ -58,63 +65,44 @@ TEST(MergeIteratorTest, ThreeWayDuplicates) {
 }
 
 TEST(MergeIteratorTest, TombstonesEmittedByDefault) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Tomb(7, 2)}));
-  in.push_back(Stream({Val(7, 1, 70)}));
-  MergeIterator m(std::move(in));
+  VectorStream newer({Tomb(7, 2)});
+  VectorStream older({Val(7, 1, 70)});
+  MergeIterator m({&newer, &older});
   ASSERT_TRUE(m.Valid());
   EXPECT_TRUE(m.entry().is_tombstone());
 }
 
 TEST(MergeIteratorTest, EmptyInputs) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({}));
-  in.push_back(Stream({}));
-  MergeIterator m(std::move(in));
+  VectorStream a({});
+  VectorStream b({});
+  MergeIterator m({&a, &b});
   EXPECT_FALSE(m.Valid());
 }
 
 TEST(MergeIteratorTest, NoInputs) {
-  MergeIterator m(std::vector<std::unique_ptr<EntryStream>>{});
+  MergeIterator m(std::vector<EntryStream*>{});
   EXPECT_FALSE(m.Valid());
 }
 
 TEST(MergeIteratorTest, NonOwningStreamsMergeIdentically) {
   VectorStream a({Val(1, 9, 1), Val(3, 9, 3)});
   VectorStream b({Val(2, 1, 2), Val(3, 1, 33)});
-  MergeIterator m(std::vector<EntryStream*>{&a, &b});
+  MergeIterator m({&a, &b});
   std::vector<std::pair<Key, Value>> got;
   for (; m.Valid(); m.Next()) got.push_back({m.entry().key, m.entry().value});
   EXPECT_EQ(got, (std::vector<std::pair<Key, Value>>{{1, 1}, {2, 2},
                                                      {3, 3}}));
 }
 
-TEST(DrainMergeTest, DropTombstonesFilters) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Val(1, 5, 10), Tomb(2, 5), Val(3, 5, 30)}));
-  MergeIterator m(std::move(in));
-  const std::vector<Entry> out = DrainMerge(&m, /*drop_tombstones=*/true);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].key, 1u);
-  EXPECT_EQ(out[1].key, 3u);
-}
-
-TEST(DrainMergeTest, KeepTombstonesRetains) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Val(1, 5, 10), Tomb(2, 5)}));
-  MergeIterator m(std::move(in));
-  const std::vector<Entry> out = DrainMerge(&m, /*drop_tombstones=*/false);
-  EXPECT_EQ(out.size(), 2u);
-}
-
 TEST(MergeIteratorTest, TombstoneShadowedByNewerValue) {
-  std::vector<std::unique_ptr<EntryStream>> in;
-  in.push_back(Stream({Val(9, 10, 99)}));  // newer put
-  in.push_back(Stream({Tomb(9, 5)}));      // older delete
-  MergeIterator m(std::move(in));
-  const std::vector<Entry> out = DrainMerge(&m, true);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value, 99u);
+  VectorStream newer({Val(9, 10, 99)});  // newer put
+  VectorStream older({Tomb(9, 5)});      // older delete
+  MergeIterator m({&newer, &older});
+  ASSERT_TRUE(m.Valid());
+  EXPECT_FALSE(m.entry().is_tombstone());
+  EXPECT_EQ(m.entry().value, 99u);
+  m.Next();
+  EXPECT_FALSE(m.Valid());
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // warm-up, a point lookup through ShardedDB must perform no heap
 // allocations at all, on the memory backend and on the file backend with
 // the block cache off, on and evicting, or on and holding every page; a
-// scan's allocations must not grow with the pages it reads; and a cache
-// shrunk by the memory arbiter frees the payloads it sheds. Lives in its
-// own test binary because it replaces the global allocator (operator new
-// and aligned_alloc, which the file backend's extent buffers come from)
-// and operator delete to count allocations and frees.
+// scan's allocations must not grow with the pages it reads, nor, when it
+// visits its entries instead of collecting them, with its result; and a
+// cache shrunk by the memory arbiter frees the payloads it sheds. Lives
+// in its own test binary because it replaces the global allocator
+// (operator new and aligned_alloc, which the file backend's extent
+// buffers come from) and operator delete to count allocations and frees.
 
 #include <gtest/gtest.h>
 
@@ -213,6 +214,44 @@ TEST(ZeroAllocTest, FileScanAllocationsDoNotGrowWithPagesRead) {
         << "scan allocates per page or per extent: " << short_allocs
         << " allocations for " << short_pages << " pages, " << long_allocs
         << " for " << long_pages;
+  }
+}
+
+TEST(ZeroAllocTest, VisitedScanAllocationsDoNotGrowWithResult) {
+  // A visitor scan holds one entry at a time: visiting 20,000 entries may
+  // allocate no more than visiting 400 (iterator state only) — on the
+  // memory backend, and on the file backend with the cache off, evicting
+  // and holding every page.
+  struct Leg {
+    StorageBackend backend;
+    uint64_t cache_bytes;
+  };
+  const Leg legs[] = {{StorageBackend::kMemory, 0},
+                      {StorageBackend::kFile, 0},
+                      {StorageBackend::kFile, kEvictingCacheBytes},
+                      {StorageBackend::kFile, 4 << 20}};
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.cache_bytes);
+    auto db = LoadedDb(20000, leg.backend, leg.cache_bytes);
+    (void)db->Scan(0, 40000);  // warm up the buffer pool and the cache
+    auto measure = [&db](Key hi) {
+      uint64_t visited = 0;
+      uint64_t allocs = 0;
+      {
+        AllocationScope scope;
+        EXPECT_TRUE(db->Scan(0, hi, [&visited](const Entry&) {
+                        ++visited;
+                        return true;
+                      }).ok());
+        allocs = scope.allocations();
+      }
+      EXPECT_EQ(visited, hi / 2);
+      return allocs;
+    };
+    const uint64_t short_allocs = measure(800);
+    const uint64_t long_allocs = measure(40000);
+    EXPECT_LE(long_allocs, short_allocs)
+        << "visited scan allocates per entry or per page";
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket_util.h"
+#include "util/fault_injection.h"
 
 namespace endure::net {
 namespace {
@@ -197,6 +199,85 @@ TEST(ClientTest, OversizedScanReturnsOutOfRange) {
   EXPECT_FALSE(big.ok());
   EXPECT_EQ(big.status().code(), StatusCode::kOutOfRange);
   h.server->Shutdown();
+}
+
+std::vector<std::pair<lsm::Key, lsm::Value>> EvenKeys(uint64_t n) {
+  std::vector<std::pair<lsm::Key, lsm::Value>> pairs;
+  pairs.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) pairs.emplace_back(2 * i, i);
+  return pairs;
+}
+
+TEST(ClientTest, OversizedScanStopsReadingAtTheFrameLimit) {
+  // The server streams a scan into its response frame, so a range far
+  // past the frame limit costs the pages of one frame, not of the range:
+  // every shard opens its runs' first pages, then reading stops once
+  // the frame is full.
+  ServerOptions sopts;
+  sopts.max_frame_payload = 1024;  // 62 entries
+  Harness h = Harness::Start(MemoryOpts(), sopts);
+  ASSERT_TRUE(h.db->BulkLoad(EvenKeys(100000)).ok());
+  auto client = h.Connect();
+
+  const uint64_t before = h.db->TotalStats().range_pages_read.load();
+  auto big = client->Scan(0, 200000);
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kOutOfRange);
+  const uint64_t pages = h.db->TotalStats().range_pages_read.load() - before;
+  EXPECT_LE(pages, 64u) << "the scan read " << pages << " pages";
+
+  // The same connection answers the next scan in full.
+  auto small = client->Scan(1000, 1080);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  ASSERT_EQ(small->size(), 40u);
+  for (uint64_t i = 0; i < 40; ++i) {
+    EXPECT_EQ((*small)[i].first, 1000 + 2 * i);
+    EXPECT_EQ((*small)[i].second, 500 + i);
+  }
+  EXPECT_EQ(client->reconnects(), 0u);
+  h.server->Shutdown();
+}
+
+TEST(ClientTest, ScanFailingMidStreamAnswersTheEngineError) {
+  // A page read fails after part of the response is already encoded:
+  // the server rolls the frame back and answers the engine's status —
+  // never a partial result — and the connection keeps serving.
+  const std::string dir = "/tmp/endure_client_scan_fault";
+  std::filesystem::remove_all(dir);
+  lsm::Options opts = MemoryOpts();
+  opts.backend = lsm::StorageBackend::kFile;
+  opts.storage_dir = dir;
+  Harness h = Harness::Start(opts);
+  ASSERT_TRUE(h.db->BulkLoad(EvenKeys(20000)).ok());
+  h.db->WaitForMaintenance();
+  auto client = h.Connect();
+
+  StatusOr<std::vector<std::pair<lsm::Key, lsm::Value>>> got =
+      Status::Internal("not run");
+  uint64_t fired = 0;
+  {
+    ScopedFaultInjector fi;
+    fi->Arm(FaultSite::kSegmentRead, {.skip = 40, .count = 1, .err = EIO});
+    got = client->Scan(0, 2000);
+    fired = fi->fired(FaultSite::kSegmentRead);
+  }
+  EXPECT_EQ(fired, 1u);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kIOError)
+      << got.status().ToString();
+
+  auto value = client->Get(2 * 17);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(value->value_or(0), 17u);
+  EXPECT_EQ(client->reconnects(), 0u);
+  EXPECT_EQ(h.server->counters().protocol_errors, 0u);
+  const Status health = h.db->Health();
+  EXPECT_EQ(health.code(), StatusCode::kIOError);
+  EXPECT_EQ(health.message().rfind("shard ", 0), 0u) << health.message();
+  h.server->Shutdown();
+  h.server.reset();
+  h.db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ClientTest, ReconnectsAfterServerRestart) {

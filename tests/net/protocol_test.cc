@@ -123,7 +123,11 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   EXPECT_FALSE(value.has_value());
 
   std::vector<std::pair<lsm::Key, lsm::Value>> entries = {{1, 2}, {3, 4}};
-  auto scan = DecodeAll(EncodeScanResponse(7, entries), 2);
+  std::string scan_bytes;
+  ScanResponseWriter writer(&scan_bytes, 7);
+  for (const auto& [key, value] : entries) writer.Add(key, value);
+  writer.Finish();
+  auto scan = DecodeAll(scan_bytes, 2);
   std::vector<std::pair<lsm::Key, lsm::Value>> got_entries;
   ASSERT_TRUE(ParseScanResponse(scan[0], &got_entries).ok());
   EXPECT_EQ(got_entries, entries);
@@ -133,6 +137,56 @@ TEST(ProtocolTest, ResponsesRoundTrip) {
   std::vector<StatPair> got_stats;
   ASSERT_TRUE(ParseStatsResponse(sresp[0], &got_stats).ok());
   EXPECT_EQ(got_stats, stats);
+}
+
+// The SCAN response layout, built from the generic codec pieces: the
+// frame header, an OK status block, the count, then the pairs.
+std::string ReferenceScanResponse(
+    uint64_t id, const std::vector<std::pair<lsm::Key, lsm::Value>>& entries) {
+  std::string payload;
+  WireWriter w(&payload);
+  w.U8(static_cast<uint8_t>(StatusCode::kOk));
+  w.U16(0);
+  w.U32(static_cast<uint32_t>(entries.size()));
+  for (const auto& [key, value] : entries) {
+    w.U64(key);
+    w.U64(value);
+  }
+  return EncodeFrame(static_cast<uint8_t>(Opcode::kScan) | kResponseBit, id,
+                     payload);
+}
+
+TEST(ProtocolTest, ScanResponseWriterEncodesTheFrameInPlace) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{62}, size_t{65536}}) {
+    SCOPED_TRACE(n);
+    std::vector<std::pair<lsm::Key, lsm::Value>> entries;
+    for (uint64_t i = 0; i < n; ++i) {
+      entries.emplace_back(3 * i + 1, ~i ^ (i << 32));
+    }
+    // The frame lands after whatever the buffer already holds.
+    const std::string queued = EncodeGetResponse(41, 9u);
+    std::string out = queued;
+    ScanResponseWriter writer(&out, 0x0102030405060708ULL);
+    for (const auto& [key, value] : entries) writer.Add(key, value);
+    EXPECT_EQ(writer.count(), n);
+    writer.Finish();
+    EXPECT_EQ(out, queued + ReferenceScanResponse(0x0102030405060708ULL,
+                                                  entries));
+    auto frames = DecodeAll(out, 4096);
+    ASSERT_EQ(frames.size(), 2u);
+    std::vector<std::pair<lsm::Key, lsm::Value>> got;
+    ASSERT_TRUE(ParseScanResponse(frames[1], &got).ok());
+    EXPECT_EQ(got, entries);
+  }
+}
+
+TEST(ProtocolTest, AbandonedScanResponseLeavesTheBufferAsItWas) {
+  const std::string queued = EncodeGetResponse(41, 9u);
+  std::string out = queued;
+  ScanResponseWriter writer(&out, 5);
+  for (uint64_t i = 0; i < 100; ++i) writer.Add(i, i);
+  writer.Abandon();
+  EXPECT_EQ(out, queued);
 }
 
 TEST(ProtocolTest, RemoteStatusTravelsCodeForCode) {
