@@ -76,14 +76,19 @@ bool BlockCache::Lookup(uint64_t store_id, SegmentId segment,
 
 void BlockCache::Insert(uint64_t store_id, SegmentId segment,
                         uint64_t page_idx, const Entry* entries, size_t count,
-                        Statistics* stats) {
+                        Statistics* stats, bool may_evict) {
   if (capacity() == 0 || count == 0) return;
   const uint64_t bytes = SlotBytes(count);
-  if (bytes > PerShardCapacity()) return;  // would evict the whole shard
+  const uint64_t bound = PerShardCapacity();
+  if (bytes > bound) return;  // would evict the whole shard
   const CacheKey key{store_id, segment, page_idx};
   const uint64_t h = KeyHash(key);
   const uint32_t hash = TableHash(h);
   Shard& s = ShardFor(h);
+  const auto has_room = [&s, bytes, bound] {
+    return s.usage_bytes.load(std::memory_order_relaxed) + bytes <= bound;
+  };
+  if (!may_evict && !has_room()) return;
   std::lock_guard<std::mutex> lock(s.mu);
   if (const uint32_t* resident = s.index.Find(
           hash, [&](uint32_t i) { return s.slots[i].key == key; })) {
@@ -92,7 +97,10 @@ void BlockCache::Insert(uint64_t store_id, SegmentId segment,
     s.slots[*resident].referenced = true;
     return;
   }
-  uint32_t idx = EvictToFit(s, bytes, stats);
+  if (!may_evict && !has_room()) return;  // filled since the unlocked check
+  // A room-only page never runs the clock: EvictToFit reads the capacity
+  // again, and a concurrent set_capacity may have shrunk it below `bound`.
+  uint32_t idx = may_evict ? EvictToFit(s, bytes, stats) : kNoSlot;
   if (idx == kNoSlot && s.free_head != kNoSlot) {
     idx = s.free_head;
     s.free_head = s.slots[idx].next;
@@ -107,7 +115,7 @@ void BlockCache::Insert(uint64_t store_id, SegmentId segment,
   slot.valid = true;
   LinkSegment(s, idx);
   s.index.Insert(hash, idx);
-  s.usage_bytes += bytes;
+  s.usage_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void BlockCache::LinkSegment(Shard& s, uint32_t idx) {
@@ -158,7 +166,8 @@ void BlockCache::UnlinkSegment(Shard& s, uint32_t idx) {
 
 void BlockCache::Drop(Shard& s, uint32_t idx) {
   Slot& slot = s.slots[idx];
-  s.usage_bytes -= SlotBytes(slot.entries.size());
+  s.usage_bytes.fetch_sub(SlotBytes(slot.entries.size()),
+                          std::memory_order_relaxed);
   s.index.Erase(TableHash(KeyHash(slot.key)), idx);
   slot.valid = false;
 }
@@ -178,7 +187,9 @@ uint32_t BlockCache::EvictToFit(Shard& s, uint64_t need, Statistics* stats) {
   // shrunk below one page).
   uint32_t last = kNoSlot;
   for (size_t scanned = 0;
-       s.usage_bytes + need > bound && scanned < 2 * ring; ++scanned) {
+       s.usage_bytes.load(std::memory_order_relaxed) + need > bound &&
+       scanned < 2 * ring;
+       ++scanned) {
     const uint32_t idx = static_cast<uint32_t>(s.hand);
     s.hand = (s.hand + 1) % ring;
     Slot& victim = s.slots[idx];
@@ -219,8 +230,7 @@ void BlockCache::EraseSegment(uint64_t store_id, SegmentId segment) {
 uint64_t BlockCache::usage() const {
   uint64_t total = 0;
   for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.usage_bytes;
+    total += s.usage_bytes.load(std::memory_order_relaxed);
   }
   return total;
 }

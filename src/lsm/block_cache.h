@@ -65,9 +65,14 @@ class BlockCache {
   /// Admits one decoded page, evicting via the clock hand to fit. The
   /// caller must only admit pages it verified (CRC-checked, or from a
   /// backend that cannot rot). Evictions are counted against `stats`
-  /// (nullable).
+  /// (nullable). With `may_evict` false (read-ahead pages) the page is
+  /// admitted only into room its cache shard has free and evicts nothing,
+  /// even when set_capacity shrinks the cache meanwhile: the shard's usage
+  /// is read before its lock is taken, so a full shard turns the page away
+  /// without locking.
   void Insert(uint64_t store_id, SegmentId segment, uint64_t page_idx,
-              const Entry* entries, size_t count, Statistics* stats);
+              const Entry* entries, size_t count, Statistics* stats,
+              bool may_evict = true);
 
   /// Drops every cached page of (store_id, segment). Called by
   /// PageStore::FreeSegment so a recycled SegmentId can never resurrect a
@@ -85,7 +90,8 @@ class BlockCache {
     return capacity_.load(std::memory_order_relaxed);
   }
 
-  /// Current decoded-payload bytes resident across all shards.
+  /// Current decoded-payload bytes resident across all shards (each
+  /// shard's count read without its lock).
   uint64_t usage() const;
 
  private:
@@ -162,13 +168,15 @@ class BlockCache {
   };
 
   struct Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::vector<Slot> slots;  ///< clock ring
     SlotTable index;          ///< key -> its slot
     SlotTable segments;       ///< (store, segment) -> first slot of its list
     uint32_t free_head = kNoSlot;  ///< LIFO free list, linked by Slot::next
     size_t hand = 0;
-    uint64_t usage_bytes = 0;
+    /// Written under `mu`; read without it by room-only admission and
+    /// usage().
+    std::atomic<uint64_t> usage_bytes{0};
   };
 
   Shard& ShardFor(uint64_t key_hash) {

@@ -162,12 +162,14 @@ StatusOr<std::shared_ptr<Run>> RebuildRun(PageStore* store,
   std::vector<Key> first_keys;
   first_keys.reserve(num_pages);
   Key last_key = 0;
-  PageBuffer scratch(entries_per_page);
-  ReadWindow window;  // one extent per pread across the whole segment
+  // One extent per pread across the whole segment, decoded into the
+  // window's pooled page buffer.
+  ReadWindow window;
   for (size_t page = 0; page < num_pages; ++page) {
     const StatusOr<PageView> view =
         store->ReadPageView(meta.segment, page, num_pages - 1,
-                            IoContext::kRecovery, &scratch, &window);
+                            IoContext::kRecovery, /*scratch=*/nullptr,
+                            &window);
     ENDURE_RETURN_IF_ERROR(view.status());
     if (view->size == 0) {
       return Status::Corruption("empty page " + std::to_string(page) +

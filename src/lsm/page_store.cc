@@ -50,9 +50,11 @@ bool PageStore::CacheLookup(SegmentId segment, size_t page_idx, IoContext ctx,
 }
 
 void PageStore::CacheAdmit(SegmentId segment, size_t page_idx, IoContext ctx,
-                           const Entry* entries, size_t count) const {
+                           const Entry* entries, size_t count,
+                           bool may_evict) const {
   if (cache_ == nullptr || !CacheableContext(ctx)) return;
-  cache_->Insert(cache_store_id_, segment, page_idx, entries, count, stats_);
+  cache_->Insert(cache_store_id_, segment, page_idx, entries, count, stats_,
+                 may_evict);
 }
 
 void PageStore::CacheErase(SegmentId segment) const {
@@ -63,6 +65,7 @@ void PageStore::CacheErase(SegmentId segment) const {
 StatusOr<PageView> PageStore::ReadPageView(SegmentId segment, size_t page_idx,
                                            IoContext ctx,
                                            PageBuffer* scratch) const {
+  ENDURE_DCHECK(scratch != nullptr);  // the window dies on return
   ReadWindow window;  // this read's own buffer, handed back on return
   return ReadPageView(segment, page_idx, page_idx, ctx, scratch, &window);
 }
@@ -166,7 +169,8 @@ const std::vector<Entry>* MemPageStore::SlotData(SegmentId segment) const {
 
 StatusOr<PageView> MemPageStore::ReadPageView(
     SegmentId segment, size_t page_idx, size_t /*last_page*/, IoContext ctx,
-    PageBuffer* scratch, ReadWindow* /*window*/) const {
+    PageBuffer* scratch, ReadWindow* window) const {
+  if (scratch == nullptr) scratch = &window->page_;
   // A cache hit is not a device read: no page-read accounting, the hit
   // counter tells the story. RAM pages cannot rot, so admission needs no
   // checksum gate here.
@@ -462,28 +466,33 @@ std::unique_ptr<PageStore::SegmentWriter> FilePageStore::NewSegmentWriter(
   return std::make_unique<Writer>(this, id, PathFor(id), ctx);
 }
 
-FilePageStore::AlignedBuf FilePageStore::BorrowScratch() const {
+void FilePageStore::LendBuffers(ReadWindow* window) const {
+  if (window->lender_ != nullptr) return;  // buffers go back to their lender
+  ReadBuffers lent{AlignedBuf(nullptr, &std::free), PageBuffer()};
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!read_scratch_pool_.empty()) {
-      AlignedBuf buf = std::move(read_scratch_pool_.back());
+      lent = std::move(read_scratch_pool_.back());
       read_scratch_pool_.pop_back();
-      return buf;
     }
   }
-  return AlignedPage(PageDiskBytes());
+  window->lender_ = this;
+  window->buf_ = std::move(lent.extent);
+  window->page_ = std::move(lent.page);
 }
 
-void FilePageStore::ReturnScratch(AlignedBuf buf) const {
+void FilePageStore::ReturnScratch(ReadBuffers buffers) const {
   std::lock_guard<std::mutex> lock(mu_);
-  read_scratch_pool_.push_back(std::move(buf));
+  read_scratch_pool_.push_back(std::move(buffers));
 }
 
 size_t FilePageStore::ExtentPages() const {
   return AlignedBytes(PageDiskBytes()) / PageDiskBytes();
 }
 
-void ReadWindow::Release() { lender_->ReturnScratch(std::move(buf_)); }
+void ReadWindow::Release() {
+  lender_->ReturnScratch({std::move(buf_), std::move(page_)});
+}
 
 Status FilePageStore::FillWindow(const SegmentMeta& meta, SegmentId segment,
                                  size_t page_idx, size_t last_page,
@@ -492,10 +501,10 @@ Status FilePageStore::FillWindow(const SegmentMeta& meta, SegmentId segment,
   const size_t disk_bytes = PageDiskBytes();
   const size_t num_pages =
       (meta.num_entries + entries_per_page_ - 1) / entries_per_page_;
+  LendBuffers(window);
   if (window->buf_ == nullptr) {
-    window->buf_ = BorrowScratch();
+    window->buf_ = AlignedPage(disk_bytes);
     if (window->buf_ == nullptr) return AllocFailed(disk_bytes);
-    window->lender_ = this;
   }
   window->num_pages_ = 0;
   const size_t want = std::min({ExtentPages(), last_page - page_idx + 1,
@@ -524,6 +533,7 @@ Status FilePageStore::FillWindow(const SegmentMeta& meta, SegmentId segment,
   // A short extent that still covers the wanted page keeps its whole
   // pages; the next page it lacks refills from there.
   window->segment_ = segment;
+  window->num_entries_ = meta.num_entries;
   window->first_page_ = page_idx;
   window->num_pages_ = static_cast<size_t>(got) / disk_bytes;
   return Status::OK();
@@ -535,8 +545,17 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
                                                IoContext ctx,
                                                PageBuffer* scratch,
                                                ReadWindow* window) const {
+  if (scratch == nullptr) {
+    LendBuffers(window);
+    scratch = &window->page_;
+  }
+  // A page the window already holds is a read-ahead page: it arrived with
+  // an earlier page's extent, and the window knows its segment's size.
+  const bool read_ahead = window->Holds(this, segment, page_idx);
   SegmentMeta meta;
-  {
+  if (read_ahead) {
+    meta.num_entries = window->num_entries_;
+  } else {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = segments_.find(segment);
     ENDURE_CHECK_MSG(it != segments_.end(), "unknown segment");
@@ -548,21 +567,23 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
                                         meta.num_entries - begin);
 
   // Cached pages were CRC-verified at admission; a hit skips the device
-  // read (and any fault injected on it) entirely.
-  if (CacheLookup(segment, page_idx, ctx, scratch)) {
+  // read (and any fault injected on it) entirely. A read-ahead page skips
+  // the lookup: its bytes are already here, and verifying them costs
+  // less than a lookup that mostly misses.
+  if (!read_ahead && CacheLookup(segment, page_idx, ctx, scratch)) {
     return PageView{scratch->data(), scratch->size()};
   }
 
-  // A miss is a page read whether its bytes come from the device now or
-  // from the window's extent: the fault check, verification and counting
-  // below run once per page, when the reader reaches it.
+  // A page read whether its bytes come from the device now or from the
+  // window's extent: the fault check, verification and counting below
+  // run once per page, when the reader reaches it.
   const FaultOutcome fault = CheckFault(FaultSite::kSegmentRead);
   if (fault.err != 0) {
     return Status::IOError("segment read from " + PathFor(segment) +
                            " failed: " + ErrnoName(fault.err) +
                            " [injected]");
   }
-  if (!window->Holds(segment, page_idx)) {
+  if (!read_ahead) {
     ENDURE_RETURN_IF_ERROR(
         FillWindow(meta, segment, page_idx, last_page, window));
   }
@@ -589,8 +610,11 @@ StatusOr<PageView> FilePageStore::ReadPageView(SegmentId segment,
   scratch->set_size(count);
   stats_->OnPageRead(ctx, 1);
   // Checksum-verified admission: a page only enters the cache after this
-  // read proved its CRC, so a rotten page can never be served from it.
-  CacheAdmit(segment, page_idx, ctx, dst, count);
+  // read proved its CRC, so a rotten page can never be served from it. A
+  // read-ahead page takes only room that is free: a long scan warms a
+  // cache with room, but evicts at most the one page per extent that
+  // missed, not one per page it reads.
+  CacheAdmit(segment, page_idx, ctx, dst, count, /*may_evict=*/!read_ahead);
   return PageView{dst, count};
 }
 

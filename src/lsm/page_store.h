@@ -109,7 +109,8 @@ class PageBuffer {
 
 /// A borrowed, read-only view of one page of entries. Views returned by
 /// ReadPageView stay valid until the segment is freed (memory backend) or
-/// until the scratch buffer passed in is reused (file backend).
+/// until the buffer the page was decoded into is reused: the scratch
+/// buffer passed in, or the window's own page buffer (file backend).
 struct PageView {
   const Entry* data = nullptr;
   size_t size = 0;
@@ -122,19 +123,21 @@ struct PageView {
 class FilePageStore;
 
 /// A reader's read window over one segment: the raw on-disk bytes of
-/// consecutive pages, read with one pread into one aligned extent buffer.
-/// The file backend borrows that buffer from its scratch pool on the
-/// reader's first device read and takes it back when the window is
-/// destroyed, so a reader obtains it once, never per refill. Holding raw
-/// bytes is not reading a page: each page in the window is still
+/// consecutive pages, read with one pread into one aligned extent buffer,
+/// and the page buffer its pages decode into when the reader passes no
+/// scratch of its own. The file backend lends both from its pool on the
+/// reader's first read and takes them back when the window is destroyed,
+/// so a reader obtains them once, never per refill or per page. Holding
+/// raw bytes is not reading a page: each page in the window is still
 /// fault-checked, verified, decoded and counted only when its reader
-/// reaches it. The memory backend never touches a window. Move-only; one
-/// per reader, never shared across threads.
+/// reaches it. The memory backend never reads ahead; it uses the window
+/// only for its page buffer, which a cache hit copies into. Move-only;
+/// one per reader, never shared across threads.
 class ReadWindow {
  public:
   ReadWindow() = default;
   ~ReadWindow() {
-    if (buf_ != nullptr) Release();
+    if (lender_ != nullptr) Release();
   }
   // Moves swap, so each buffer still goes back to its own lender.
   ReadWindow(ReadWindow&& other) noexcept { Swap(other); }
@@ -145,23 +148,33 @@ class ReadWindow {
 
  private:
   friend class FilePageStore;
+  friend class MemPageStore;
 
-  bool Holds(SegmentId segment, size_t page) const {
-    return segment == segment_ && page >= first_page_ &&
+  bool Holds(const FilePageStore* store, SegmentId segment,
+             size_t page) const {
+    return store == lender_ && segment == segment_ && page >= first_page_ &&
            page - first_page_ < num_pages_;
   }
   void Release();
   void Swap(ReadWindow& other) noexcept {
     std::swap(lender_, other.lender_);
     std::swap(buf_, other.buf_);
+    std::swap(page_, other.page_);
     std::swap(segment_, other.segment_);
+    std::swap(num_entries_, other.num_entries_);
     std::swap(first_page_, other.first_page_);
     std::swap(num_pages_, other.num_pages_);
   }
 
-  const FilePageStore* lender_ = nullptr;  ///< whose pool buf_ goes back to
+  const FilePageStore* lender_ = nullptr;  ///< whose pool the buffers go to
+  /// The extent; null until the first device read if the pair the
+  /// window was lent had never held one.
   std::unique_ptr<char, void (*)(void*)> buf_{nullptr, &std::free};
+  PageBuffer page_;  ///< decoded page for readers that pass no scratch
   SegmentId segment_ = 0;
+  /// segment_'s entry count, so a page already in the window needs no
+  /// segment-table lookup to find its own count.
+  size_t num_entries_ = 0;
   size_t first_page_ = 0;
   size_t num_pages_ = 0;  ///< whole pages held; 0 = empty
 };
@@ -230,22 +243,32 @@ class PageStore {
   /// the segment without copying and ignore the bound; backends that must
   /// materialize (FilePageStore) decode into `scratch` — reserved and
   /// reused in place, no allocation once warm — and return a view of it.
+  /// A null `scratch` selects the window's own page buffer instead (a
+  /// cache hit copies there too), which the file backend lends from its
+  /// pool with the extent: a reader that keeps its window takes its
+  /// decode space once.
   ///
-  /// The file backend looks the page up in the block cache first. On a
-  /// miss it serves the page's bytes from `window`, refilling the window
-  /// when it lacks the page with one pread of that page and the ones after
-  /// it, bounded by `last_page` and by the window's 4 KiB buffer. A short
-  /// or failed extent read falls back to reading the page alone, so its
-  /// error is the one-page read's. Read failures (including an injected
-  /// kSegmentRead fault, checked per page) and checksum mismatches
-  /// surface as IOError / Corruption for the page that has them.
+  /// The file backend serves a page its window already holds (a
+  /// read-ahead page, which arrived with an earlier page's extent) from
+  /// the window, with neither a segment-table nor a block-cache lookup,
+  /// and admits it only into cache room that needs no eviction. Any other
+  /// page is looked up in the block cache first; on a miss the window is
+  /// refilled with one pread of that page and the ones after it, bounded
+  /// by `last_page` and by the window's 4 KiB buffer, and the page is
+  /// admitted, evicting if it must. A short or failed extent read falls
+  /// back to reading the page alone, so its error is the one-page read's.
+  /// Either way the page is fault-checked (kSegmentRead), CRC-verified,
+  /// decoded and counted when the reader reaches it: read failures and
+  /// checksum mismatches surface as IOError / Corruption for the page that
+  /// has them.
   virtual StatusOr<PageView> ReadPageView(SegmentId segment, size_t page_idx,
                                           size_t last_page, IoContext ctx,
                                           PageBuffer* scratch,
                                           ReadWindow* window) const = 0;
 
   /// The one-page case (point lookups, blind seeks): the read above with
-  /// `last_page == page_idx` and a window that lives for this call only.
+  /// `last_page == page_idx` and a window that lives for this call only,
+  /// so `scratch` must not be null.
   StatusOr<PageView> ReadPageView(SegmentId segment, size_t page_idx,
                                   IoContext ctx, PageBuffer* scratch) const;
 
@@ -269,8 +292,10 @@ class PageStore {
   /// Attaches the deployment-wide block cache (nullable to detach). The
   /// store registers itself under a unique cache store id; afterwards
   /// point- and range-query reads are served from the cache on a hit and
-  /// admit verified pages on a miss, while flush/compaction/recovery I/O
-  /// bypasses it entirely. Call before the store is used concurrently.
+  /// admit verified pages on a miss (the file backend's read-ahead pages
+  /// skip the lookup and are admitted only into free room), while
+  /// flush/compaction/recovery I/O bypasses it entirely. Call before the
+  /// store is used concurrently.
   void set_block_cache(BlockCache* cache);
   BlockCache* block_cache() const { return cache_; }
 
@@ -280,9 +305,11 @@ class PageStore {
   /// non-zero capacity; counts a miss otherwise within those constraints.
   bool CacheLookup(SegmentId segment, size_t page_idx, IoContext ctx,
                    PageBuffer* scratch) const;
-  /// Admits one decoded, verified page (same gating as CacheLookup).
+  /// Admits one decoded, verified page (same gating as CacheLookup);
+  /// with `may_evict` false only into room that needs no eviction.
   void CacheAdmit(SegmentId segment, size_t page_idx, IoContext ctx,
-                  const Entry* entries, size_t count) const;
+                  const Entry* entries, size_t count,
+                  bool may_evict = true) const;
   /// Drops a freed segment's pages from the cache.
   void CacheErase(SegmentId segment) const;
 
@@ -445,11 +472,18 @@ class FilePageStore final : public PageStore {
 
   using AlignedBuf = std::unique_ptr<char, void (*)(void*)>;
 
-  /// Borrows one aligned extent buffer from the pool (allocating on a dry
-  /// pool; null on allocation failure — surfaced as a Status, not an
-  /// abort). Return with ReturnScratch.
-  AlignedBuf BorrowScratch() const;
-  void ReturnScratch(AlignedBuf buf) const;
+  /// A window's buffers while they sit in the pool: an aligned extent
+  /// (null until a window that held it needed one) and a decoded page.
+  struct ReadBuffers {
+    AlignedBuf extent;
+    PageBuffer page;
+  };
+
+  /// Lends `window` a pair of buffers from the pool (a fresh, empty pair
+  /// on a dry pool) unless it already holds a lender's pair. The window's
+  /// destructor hands them back through ReturnScratch.
+  void LendBuffers(ReadWindow* window) const;
+  void ReturnScratch(ReadBuffers buffers) const;
 
   /// Refills `window` with page `page_idx` of `segment` and the pages
   /// after it, up to `last_page` and ExtentPages(), in one pread.
@@ -470,11 +504,11 @@ class FilePageStore final : public PageStore {
   /// among FreeSegment calls (ascending), and the calls so far.
   std::vector<std::pair<uint64_t, std::string>> pending_deletes_;
   uint64_t deletes_marked_ = 0;
-  /// Aligned extent buffers, one borrowed per live reader (a ReadWindow
-  /// keeps its buffer until destroyed); the pool high-water mark is the
-  /// read concurrency (foreground + merge threads), so steady-state reads
+  /// Window buffers, one pair lent per live reader (a ReadWindow keeps
+  /// its pair until destroyed); the pool high-water mark is the read
+  /// concurrency (foreground + merge threads), so steady-state reads
   /// still allocate nothing.
-  mutable std::vector<AlignedBuf> read_scratch_pool_;
+  mutable std::vector<ReadBuffers> read_scratch_pool_;
 };
 
 /// Factory over Options::backend. `persistent` selects FilePageStore's

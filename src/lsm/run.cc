@@ -132,7 +132,7 @@ Run::Iterator::Iterator(const Run* run, size_t start_page, size_t end_page,
 
 void Run::Iterator::LoadPage(size_t page) {
   StatusOr<PageView> view = run_->store_->ReadPageView(
-      run_->segment_, page, end_page_, ctx_, &buffer_, &window_);
+      run_->segment_, page, end_page_, ctx_, /*scratch=*/nullptr, &window_);
   if (!view.ok()) {
     // The iterator dies in place: it looks exhausted, and the error is
     // held in status() for the consumer's post-drain check.

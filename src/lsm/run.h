@@ -8,8 +8,9 @@
 // All reads go through reusable PageBuffers: point lookups fill a
 // thread-local scratch buffer (one per reader thread, reused for every
 // Get on any run — lock-free snapshot readers share runs, so a per-run
-// buffer would race) and each iterator owns one for its sequential
-// pages — the steady state performs no heap allocations.
+// buffer would race) and each iterator decodes its sequential pages into
+// its ReadWindow's page buffer, which the file backend lends from a pool
+// — the steady state performs no heap allocations.
 
 #ifndef ENDURE_LSM_RUN_H_
 #define ENDURE_LSM_RUN_H_
@@ -80,11 +81,11 @@ class Run {
                    Status* io_status = nullptr) const;
 
   /// Sequential reader over [start_page, end_page] (inclusive); decodes
-  /// one page at a time into its own reusable buffer, attributing I/O to
-  /// `ctx`. It passes end_page as the read bound, so the file backend
-  /// fills the iterator's ReadWindow one extent per pread, with a buffer
-  /// obtained once for the iterator's lifetime. Move-only (it owns the
-  /// page buffer and the window).
+  /// one page at a time into its ReadWindow's page buffer, attributing
+  /// I/O to `ctx`. It passes end_page as the read bound, so the file
+  /// backend fills the window one extent per pread; the extent and the
+  /// page buffer are lent from the store's pool once for the iterator's
+  /// lifetime. Move-only (it owns the window).
   class Iterator {
    public:
     Iterator(const Run* run, size_t start_page, size_t end_page,
@@ -114,16 +115,17 @@ class Run {
     void LoadPage(size_t page);
     void NextPage();
 
+    // Valid/entry/Next, which a merge calls once per entry, read only the
+    // fields up to exhausted_, which fit in the iterator's first 64 bytes.
     const Run* run_;
     size_t end_page_;
     size_t current_page_;
     size_t index_in_page_ = 0;
     IoContext ctx_;
-    PageView view_;      ///< current page (borrowed or into buffer_)
-    PageBuffer buffer_;  ///< scratch for backends that materialize
-    ReadWindow window_;  ///< raw extent read ahead (file backend)
-    Status status_;      ///< first page-read failure, if any
+    PageView view_;      ///< current page (borrowed, or in window_)
     bool exhausted_ = false;
+    Status status_;      ///< first page-read failure, if any
+    ReadWindow window_;  ///< extent read ahead and the decoded page
   };
 
   /// Full-run scan (compactions).

@@ -578,23 +578,49 @@ Status ShardedDB::BulkLoad(
   if (TotalEntries() != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty database");
   }
-  std::vector<std::vector<Entry>> parts(shards_.size());
-  for (size_t i = 0; i < sorted_pairs.size(); ++i) {
-    const auto& [key, value] = sorted_pairs[i];
-    if (i > 0 && sorted_pairs[i - 1].first >= key) {
+  for (size_t i = 1; i < sorted_pairs.size(); ++i) {
+    if (sorted_pairs[i - 1].first >= sorted_pairs[i].first) {
       return Status::InvalidArgument(
           "BulkLoad input must be strictly ascending by key");
     }
-    parts[ShardForKey(key)].push_back(
-        Entry{key, /*seq=*/0, value, EntryType::kValue});
   }
+  const size_t n = sorted_pairs.size();
+  const size_t workers = std::min(shards_.size(), DefaultParallelism());
+  // Routing: worker c lists where each shard's pairs sit in the c-th
+  // contiguous chunk of the input, so every key is hashed once whatever
+  // the shard count, and each list is in input order.
+  std::vector<std::vector<std::vector<size_t>>> at(
+      workers, std::vector<std::vector<size_t>>(shards_.size()));
+  ParallelFor(workers, workers, [&](size_t c) {
+    const size_t begin = n * c / workers;
+    const size_t end = n * (c + 1) / workers;
+    // Keys hash evenly: an eighth of slack keeps the lists from regrowing.
+    const size_t expected = (end - begin) / shards_.size();
+    for (std::vector<size_t>& list : at[c]) {
+      list.reserve(expected + expected / 8 + 1);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      at[c][ShardForKey(sorted_pairs[i].first)].push_back(i);
+    }
+  });
   // Shards load concurrently, as Open recovers them: each has its own
   // tree, page store and manifest, so the load takes the slowest shard's
-  // time rather than the sum.
+  // time rather than the sum. Each shard gathers its pairs just before it
+  // loads them, so a worker holds one shard's entries at a time.
   return ForEachShard(
-      shards_.size(), std::min(shards_.size(), DefaultParallelism()),
-      [this, &parts](size_t s) {
-        if (parts[s].empty()) return Status::OK();
+      shards_.size(), workers, [this, &sorted_pairs, &at](size_t s) {
+        size_t total = 0;
+        for (const auto& chunk : at) total += chunk[s].size();
+        std::vector<Entry> part;
+        part.reserve(total);
+        for (auto& chunk : at) {
+          for (const size_t i : chunk[s]) {
+            const auto& [key, value] = sorted_pairs[i];
+            part.push_back(Entry{key, /*seq=*/0, value, EntryType::kValue});
+          }
+          std::vector<size_t>().swap(chunk[s]);
+        }
+        if (part.empty()) return Status::OK();
         Shard* shard = shards_[s].get();
         std::lock_guard<std::mutex> lock(shard->mu);
         // Re-check emptiness under the shard lock: a Put racing BulkLoad
@@ -607,7 +633,7 @@ Status ShardedDB::BulkLoad(
         // A failed shard load stays empty (all-or-nothing per shard); the
         // caller may retry the whole load after clearing the loaded
         // shards.
-        return shard->tree->BulkLoad(parts[s]);
+        return shard->tree->BulkLoad(part);
       });
 }
 

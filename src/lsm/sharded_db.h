@@ -185,8 +185,11 @@ class ShardedDB {
 
   /// Bulk loads strictly-ascending (key, value) pairs into empty shards,
   /// routing each pair to its shard (each shard's subsequence stays
-  /// strictly ascending). Shards load concurrently on up to
-  /// min(num_shards, hardware threads) workers. Each shard is
+  /// strictly ascending). An input that is not strictly ascending is
+  /// refused before any shard loads. The same min(num_shards, hardware
+  /// threads) workers first route one contiguous chunk of the input each
+  /// (every key is hashed once), then load the shards concurrently, each
+  /// shard gathering its pairs just before its load. Each shard is
   /// all-or-nothing: it ends fully loaded or empty. On failure, returns
   /// the error of the lowest-numbered failing shard; other shards may
   /// have loaded.

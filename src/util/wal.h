@@ -41,9 +41,16 @@ namespace endure {
 
 class WalFlushService;
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/gzip one) over `len` bytes,
-/// computed slicing-by-8.
+/// CRC-32 (ISO-HDLC polynomial, the zlib/gzip one) over `len` bytes. On
+/// an x86 CPU with PCLMULQDQ (checked once per process), inputs of 64
+/// bytes or more fold 16 bytes per carry-less multiply and only the last
+/// 0-15 bytes run slicing-by-8; shorter inputs, other CPUs and non-x86
+/// builds run Crc32Portable. Every path gives the same value.
 uint32_t Crc32(const void* data, size_t len);
+
+/// The same CRC-32 computed slicing-by-8 on any CPU, 8 input bytes per
+/// step: the path Crc32 takes where it does not fold.
+uint32_t Crc32Portable(const void* data, size_t len);
 
 /// Path of log generation `gen` in `dir`: `wal_<gen>.log`. Generation 0
 /// is the single `wal.log` logs were before generations existed, so such

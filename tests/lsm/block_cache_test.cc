@@ -1,9 +1,11 @@
 // Unit tests for the shared block cache and the memory-arbitration
 // policy: lookup/admission/eviction semantics, segment erasure, live
 // capacity retargeting, a seeded trace that pins the clock's victims, a
-// concurrent admit/lookup/erase run, the pure ArbitrateMemory split, and
-// the engine-level knobs (Options validation, enable-after-open rule,
-// arbiter-driven buffer retargeting).
+// concurrent admit/lookup/erase run, room-only admission (alone and
+// racing evicting inserts), the file backend's read-ahead policy (a long
+// scan evicts at most one page per extent, yet warms a cache with room),
+// the pure ArbitrateMemory split, and the engine-level knobs (Options
+// validation, enable-after-open rule, arbiter-driven buffer retargeting).
 
 #include <gtest/gtest.h>
 
@@ -338,6 +340,176 @@ TEST(BlockCacheTest, ConcurrentAdmitLookupEraseServesOnlyLivePages) {
     }
   }
   EXPECT_EQ(cache.usage(), resident_bytes);
+}
+
+TEST(BlockCacheTest, RoomOnlyInsertFillsFreeRoomAndNeverEvicts) {
+  // One cache shard with room for four 8-entry pages. Room-only inserts
+  // (read-ahead pages) take the free room and are then turned away; an
+  // evicting insert still makes room for itself.
+  constexpr uint64_t kPageBytes = 8 * sizeof(Entry);
+  BlockCache cache(4 * kPageBytes, /*num_shards=*/1);
+  const uint64_t store = cache.RegisterStore();
+  Statistics stats;
+  const std::vector<Entry> page = MakePage(0, 8);
+  for (uint64_t p = 0; p < 6; ++p) {
+    cache.Insert(store, 1, p, page.data(), 8, &stats, /*may_evict=*/false);
+  }
+  EXPECT_EQ(cache.usage(), 4 * kPageBytes);
+  EXPECT_EQ(stats.cache_evictions.load(), 0u);
+  PageBuffer buf;
+  for (uint64_t p = 0; p < 6; ++p) {
+    EXPECT_EQ(cache.Lookup(store, 1, p, &buf), p < 4) << p;
+  }
+  // A resident page offered again changes nothing.
+  cache.Insert(store, 1, 0, page.data(), 8, &stats, /*may_evict=*/false);
+  EXPECT_EQ(cache.usage(), 4 * kPageBytes);
+  cache.Insert(store, 1, 6, page.data(), 8, &stats);
+  EXPECT_EQ(stats.cache_evictions.load(), 1u);
+  EXPECT_TRUE(cache.Lookup(store, 1, 6, &buf));
+  EXPECT_EQ(cache.usage(), 4 * kPageBytes);
+}
+
+TEST(BlockCacheTest, ConcurrentRoomOnlyAdmissionKeepsUsageExact) {
+  // Room-only inserts read a shard's usage before taking its lock. Four
+  // threads mix them with evicting inserts and lookups while a fifth
+  // reads usage() and a sixth retargets the capacity between its full
+  // size and a quarter of it, as the memory arbiter does live: the
+  // room-only inserts never evict, even when the capacity shrinks between
+  // their check and their insert, usage never passes the largest
+  // capacity, and it ends equal to the pages resident.
+  constexpr int kThreads = 4;
+  constexpr uint64_t kSegments = 8;
+  constexpr uint64_t kPages = 64;
+  constexpr uint64_t kCapacity = 16 << 10;
+  BlockCache cache(kCapacity);
+  const uint64_t store = cache.RegisterStore();
+  const auto page_of = [](SegmentId segment, uint64_t page_idx) {
+    return MakePage((segment << 16) | (page_idx << 4),
+                    1 + (segment + page_idx) % 8);
+  };
+  Statistics evicting;
+  Statistics room_only;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> over_capacity{0};
+  std::thread watcher([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      if (cache.usage() > kCapacity) {
+        over_capacity.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::thread retargeter([&] {
+    for (uint64_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      cache.set_capacity(i % 2 == 0 ? kCapacity / 4 : kCapacity);
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(200 + t);
+      PageBuffer buf;
+      for (uint64_t op = 0; op < 20000; ++op) {
+        const SegmentId segment = rng.UniformInt(0, kSegments - 1);
+        const uint64_t page_idx = rng.UniformInt(0, kPages - 1);
+        if (cache.Lookup(store, segment, page_idx, &buf)) continue;
+        const std::vector<Entry> page = page_of(segment, page_idx);
+        if (op % 4 == 0) {
+          cache.Insert(store, segment, page_idx, page.data(), page.size(),
+                       &evicting);
+        } else {
+          cache.Insert(store, segment, page_idx, page.data(), page.size(),
+                       &room_only, /*may_evict=*/false);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  done.store(true, std::memory_order_relaxed);
+  watcher.join();
+  retargeter.join();
+  cache.set_capacity(kCapacity);
+  EXPECT_EQ(room_only.cache_evictions.load(), 0u);
+  EXPECT_GT(evicting.cache_evictions.load(), 0u);
+  EXPECT_EQ(over_capacity.load(), 0u);
+  PageBuffer buf;
+  uint64_t resident_bytes = 0;
+  for (SegmentId segment = 0; segment < kSegments; ++segment) {
+    for (uint64_t page_idx = 0; page_idx < kPages; ++page_idx) {
+      if (!cache.Lookup(store, segment, page_idx, &buf)) continue;
+      EXPECT_EQ(buf.size(), page_of(segment, page_idx).size());
+      resident_bytes += buf.size() * sizeof(Entry);
+    }
+  }
+  EXPECT_EQ(cache.usage(), resident_bytes);
+  EXPECT_LE(resident_bytes, kCapacity);
+}
+
+// ---- the file backend's read-ahead pages and the cache ----
+//
+// At B = 4 one extent holds 37 pages. A scan's first page in an extent is
+// looked up, and on a miss fills the reader's window and is admitted,
+// evicting if it must; the 36 read-ahead pages behind it skip the lookup
+// and take only free room.
+
+constexpr uint64_t kExtentPages =
+    4096 / (4 * FilePageStore::kEntryBytes + FilePageStore::kPageFooterBytes);
+
+std::unique_ptr<ShardedDB> LoadedFileDb(const std::string& name,
+                                        uint64_t cache_bytes) {
+  Options o;
+  o.size_ratio = 4;
+  o.buffer_entries = 64;
+  o.entries_per_page = 4;
+  o.filter_bits_per_entry = 8.0;
+  o.backend = StorageBackend::kFile;
+  o.storage_dir = "/tmp/endure_block_cache_test_" + name;
+  o.block_cache_bytes = cache_bytes;
+  auto db = std::move(ShardedDB::Open(o)).value();
+  std::vector<std::pair<Key, Value>> pairs;
+  for (uint64_t i = 0; i < 20000; ++i) pairs.emplace_back(2 * i, i);
+  EXPECT_TRUE(db->BulkLoad(pairs).ok());
+  return db;
+}
+
+TEST(BlockCacheTest, LongScanEvictsAtMostOnePagePerExtent) {
+  // Point reads fill a 64 KiB cache (512 pages of 4 entries); then a full
+  // scan reads ~5,000 pages. Each window fill covers the next 37 pages of
+  // its run, so a run of p pages takes at most ceil(p / 37) fills, and
+  // only the page that filled the window may evict.
+  ASSERT_EQ(kExtentPages, 37u);
+  auto db = LoadedFileDb("scan_resistance", 64 << 10);
+  for (Key k = 0; k < 40000; k += 14) ASSERT_TRUE(db->Get(k).has_value());
+  const uint64_t cache_pages = (64 << 10) / (4 * sizeof(Entry));
+  ASSERT_GT(db->TotalStats().cache_evictions.load(), 0u)
+      << "the point reads did not fill the cache";
+
+  const Statistics before = db->TotalStats();
+  const StatusOr<std::vector<Entry>> all = db->Scan(0, 40000);
+  ASSERT_TRUE(all.ok()) << all.status().message();
+  EXPECT_EQ(all->size(), 20000u);
+  const Statistics delta = db->TotalStats().Delta(before);
+  ASSERT_GT(delta.range_pages_read, 8 * cache_pages);
+  // Sum over runs of ceil(p / 37) <= pages / 37 + runs.
+  const uint64_t max_fills =
+      delta.range_pages_read / kExtentPages + delta.range_seeks;
+  EXPECT_LE(delta.cache_evictions, max_fills)
+      << delta.range_pages_read << " pages read over " << delta.range_seeks
+      << " runs";
+}
+
+TEST(BlockCacheTest, SecondFullScanOfACacheThatHoldsTheDataReadsNoPage) {
+  // A cache with room for the whole data set (~640 KB decoded): the first
+  // full scan admits every page, read-ahead pages included, so the second
+  // is served from the cache alone.
+  auto db = LoadedFileDb("warming", 4 << 20);
+  ASSERT_EQ(db->Scan(0, 40000).value().size(), 20000u);
+  const Statistics before = db->TotalStats();
+  ASSERT_EQ(db->Scan(0, 40000).value().size(), 20000u);
+  const Statistics delta = db->TotalStats().Delta(before);
+  EXPECT_EQ(delta.range_pages_read, 0u);
+  EXPECT_GE(delta.cache_hits, 5000u);
+  EXPECT_EQ(delta.cache_misses, 0u);
+  EXPECT_EQ(delta.cache_evictions, 0u);
 }
 
 TEST(ArbitrateMemoryTest, SplitsFollowReadShareWithClamps) {

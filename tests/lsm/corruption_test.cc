@@ -358,6 +358,38 @@ TEST(CorruptionTest, ScanReachingRotMidExtentFailsAndLatches) {
   EXPECT_EQ(db->TotalStats().checksum_failures.load(), 1u);
 }
 
+TEST(CorruptionTest, ReadAheadRotFailsTheScanEvenWhenTheCacheHoldsThePage) {
+  // Page 20 arrives as a read-ahead page with page 0's extent, so the
+  // scan verifies its bytes from the window and never asks the cache:
+  // rot there fails the scan and latches the shard although a point read
+  // cached the clean page before the damage.
+  Options opts = ExtentOpts(FreshDir("extent_scan_cached"));
+  opts.block_cache_bytes = 256 * 1024;
+  SeedDeployment(opts, kExtentRunKeys);
+  auto opened = ShardedDB::Open(opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  std::unique_ptr<ShardedDB> db = std::move(opened).value();
+  ASSERT_EQ(db->Get(4 * kMidExtentPage).value_or(0),
+            4 * kMidExtentPage + 100);
+  const std::string seg = OnlySegment(opts.storage_dir);
+  ASSERT_FALSE(seg.empty());
+  RotPage(seg, kMidExtentPage);
+  // The cached copy still answers point reads.
+  const uint64_t hits = db->TotalStats().cache_hits.load();
+  ASSERT_EQ(db->Get(4 * kMidExtentPage).value_or(0),
+            4 * kMidExtentPage + 100);
+  ASSERT_EQ(db->TotalStats().cache_hits.load(), hits + 1);
+
+  const uint64_t before = db->TotalStats().range_pages_read.load();
+  const StatusOr<std::vector<Entry>> damaged = db->Scan(0, 200);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kCorruption)
+      << damaged.status().message();
+  EXPECT_EQ(db->TotalStats().range_pages_read.load() - before, 20u);
+  EXPECT_EQ(db->Health().code(), StatusCode::kCorruption);
+  EXPECT_EQ(db->TotalStats().checksum_failures.load(), 1u);
+}
+
 TEST(CorruptionTest, MergeReachingRotMidExtentLatchesAndInstallsNothing) {
   const Options opts = ExtentOpts(FreshDir("extent_merge"));
   SeedDeployment(opts, kExtentRunKeys);

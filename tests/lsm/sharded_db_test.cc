@@ -123,6 +123,30 @@ TEST(ShardedDbTest, BulkLoadRoutesAndServes) {
   EXPECT_FALSE(db->BulkLoad(pairs).ok());  // non-empty now
 }
 
+TEST(ShardedDbTest, NonAscendingBulkLoadIsRefusedBeforeAnyShardLoads) {
+  // Each shard's worker picks its own keys out of the input, so the order
+  // check must finish before any of them starts: an input that turns back
+  // once, or repeats a key once, near its end loads no shard at all.
+  auto db = std::move(ShardedDB::Open(ShardOpts(4, false))).value();
+  std::vector<std::pair<Key, Value>> ascending;
+  for (uint64_t i = 0; i < 4000; ++i) ascending.emplace_back(2 * i, i);
+  std::vector<std::pair<Key, Value>> turns_back = ascending;
+  std::swap(turns_back[3997], turns_back[3998]);
+  std::vector<std::pair<Key, Value>> repeats = ascending;
+  repeats[3999].first = repeats[3998].first;
+  for (const auto* bad : {&turns_back, &repeats}) {
+    const Status st = db->BulkLoad(*bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.message();
+    for (size_t s = 0; s < db->num_shards(); ++s) {
+      EXPECT_EQ(db->shard_tree(s).TotalEntries(), 0u) << "shard " << s;
+    }
+  }
+  // Nothing was half-loaded: the ascending input still loads whole.
+  ASSERT_TRUE(db->BulkLoad(ascending).ok());
+  EXPECT_EQ(db->TotalEntries(), 4000u);
+  EXPECT_EQ(db->Get(2 * 3999).value_or(0), 3999u);
+}
+
 TEST(ShardedDbFaultInjectionTest, FailedBulkLoadLeavesEachShardFullOrEmpty) {
   // Shards load concurrently, so which shard's writes the fault schedule
   // reaches first depends on the workers' interleaving. Whatever it is,

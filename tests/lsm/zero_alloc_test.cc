@@ -3,11 +3,13 @@
 // allocations at all, on the memory backend and on the file backend with
 // the block cache off, on and evicting, or on and holding every page; a
 // scan's allocations must not grow with the pages it reads, nor, when it
-// visits its entries instead of collecting them, with its result; and a
-// cache shrunk by the memory arbiter frees the payloads it sheds. Lives
-// in its own test binary because it replaces the global allocator
-// (operator new and aligned_alloc, which the file backend's extent
-// buffers come from) and operator delete to count allocations and frees.
+// visits its entries instead of collecting them, with its result; a
+// file-backend scan allocates no more than the same scan on the memory
+// backend; and a cache shrunk by the memory arbiter frees the payloads it
+// sheds. Lives in its own test binary because it replaces the global
+// allocator (operator new and aligned_alloc, which the file backend's
+// extent buffers come from) and operator delete to count allocations and
+// frees.
 
 #include <gtest/gtest.h>
 
@@ -214,6 +216,36 @@ TEST(ZeroAllocTest, FileScanAllocationsDoNotGrowWithPagesRead) {
         << "scan allocates per page or per extent: " << short_allocs
         << " allocations for " << short_pages << " pages, " << long_allocs
         << " for " << long_pages;
+  }
+}
+
+TEST(ZeroAllocTest, FileScanAllocatesNoMoreThanMemoryScan) {
+  // A reader's decode space comes from the file backend's pool with its
+  // extent, so a short scan there allocates only what the same scan
+  // allocates on the memory backend (iterator state and the result), with
+  // the cache off, evicting or holding every page, not one page buffer
+  // per run it opens. The memory backend copies each cache hit into a
+  // buffer of the reader's own, so with a cache on it allocates more;
+  // there the file scan is also held to its own count with the cache off.
+  auto scan_allocations = [](StorageBackend backend, uint64_t cache_bytes) {
+    auto db = LoadedDb(20000, backend, cache_bytes);
+    (void)db->Scan(0, 40000);  // warm up the buffer pool and the cache
+    (void)db->Scan(0, 800);
+    AllocationScope scope;
+    EXPECT_EQ(db->Scan(0, 800).value().size(), 400u);
+    return scope.allocations();
+  };
+  const uint64_t file_uncached = scan_allocations(StorageBackend::kFile, 0);
+  for (const uint64_t cache_bytes : kCacheSizes) {
+    SCOPED_TRACE(cache_bytes);
+    const uint64_t memory =
+        scan_allocations(StorageBackend::kMemory, cache_bytes);
+    const uint64_t file = scan_allocations(StorageBackend::kFile, cache_bytes);
+    EXPECT_LE(file, memory) << "the file scan allocates " << file
+                            << " times, the memory scan " << memory;
+    EXPECT_LE(file, file_uncached)
+        << "the file scan allocates " << file << " times, "
+        << file_uncached << " with the cache off";
   }
 }
 

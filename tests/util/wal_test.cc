@@ -63,16 +63,23 @@ TEST(Crc32Test, MatchesKnownVector) {
   // The canonical CRC-32 check value ("123456789" -> 0xCBF43926).
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32Portable("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32Portable("", 0), 0u);
 
-  // Every length 0-300 at every start offset 0-7 against the bitwise
-  // definition: the 8-byte loop's head, tail and unaligned loads.
+  // Every length 0-300 at every start offset 0-15 against the bitwise
+  // definition, for Crc32 (which folds 64 bytes and more where the CPU
+  // has PCLMULQDQ: its 4-lane loop, its 16-byte blocks and the slicing
+  // tail behind them) and for the portable slicing-by-8 path (the 8-byte
+  // loop's head, tail and unaligned loads), whatever this CPU runs.
   Rng rng(7);
-  std::vector<unsigned char> buf(8 + 300);
+  std::vector<unsigned char> buf(16 + 300);
   for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
-  for (size_t offset = 0; offset < 8; ++offset) {
+  for (size_t offset = 0; offset < 16; ++offset) {
     for (size_t len = 0; len <= 300; ++len) {
-      ASSERT_EQ(Crc32(buf.data() + offset, len),
-                BitwiseCrc32(buf.data() + offset, len))
+      const uint32_t want = BitwiseCrc32(buf.data() + offset, len);
+      ASSERT_EQ(Crc32(buf.data() + offset, len), want)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32Portable(buf.data() + offset, len), want)
           << "offset " << offset << " len " << len;
     }
   }
@@ -86,6 +93,7 @@ TEST(Crc32Test, MatchesKnownVector) {
     b = static_cast<unsigned char>(big_rng.Next() >> 56);
   }
   EXPECT_EQ(Crc32(big.data(), big.size()), 0x5693FB9Bu);
+  EXPECT_EQ(Crc32Portable(big.data(), big.size()), 0x5693FB9Bu);
 }
 
 TEST(WalTest, RoundTripsTypedRecords) {
