@@ -11,10 +11,10 @@
 //
 // Reported per leg: put throughput, p50/p99/p999 single-put latency (ns)
 // and the scheduler/stall counters (write_stalls, compaction_stall_ms,
-// rate_limited_ms, compactions_partitioned, sched_jobs). On a 1-core
-// container the two legs time-slice the same CPU, so throughput is
-// similar and the difference shows in the tail percentiles; with spare
-// cores the background leg pulls ahead on both.
+// rate_limited_ms, sched_jobs). On a 1-core container the two legs
+// time-slice the same CPU, so throughput is similar and the difference
+// shows in the tail percentiles; with spare cores the background leg
+// pulls ahead on both.
 //
 // Scale knobs (environment):
 //   MICRO_LSM_OPS  puts per leg (default 200k)
@@ -102,8 +102,7 @@ void AppendLegJson(std::string* json, const char* name, const LegResult& r,
       "      \"put_p50_ns\": %llu, \"put_p99_ns\": %llu, "
       "\"put_p999_ns\": %llu,\n"
       "      \"write_stalls\": %llu, \"compaction_stall_ms\": %llu, "
-      "\"rate_limited_ms\": %llu, \"compactions_partitioned\": %llu, "
-      "\"sched_jobs\": %llu\n"
+      "\"rate_limited_ms\": %llu, \"sched_jobs\": %llu\n"
       "    }%s\n",
       name, r.put.ops_per_sec, r.put.allocs_per_op,
       r.put.alloc_bytes_per_op, r.put.pages_per_op,
@@ -113,8 +112,6 @@ void AppendLegJson(std::string* json, const char* name, const LegResult& r,
       static_cast<unsigned long long>(r.stats.write_stalls.load()),
       static_cast<unsigned long long>(r.stats.compaction_stall_ms.load()),
       static_cast<unsigned long long>(r.stats.rate_limited_ms.load()),
-      static_cast<unsigned long long>(
-          r.stats.compactions_partitioned.load()),
       static_cast<unsigned long long>(r.stats.sched_jobs.load()),
       last ? "" : ",");
   *json += buf;

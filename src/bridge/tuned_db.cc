@@ -113,9 +113,6 @@ void CarryImmutableKnobs(const lsm::Options& current, lsm::Options* next) {
   next->recovery_threads = current.recovery_threads;
   next->maintenance_threads = current.maintenance_threads;
   next->compaction_rate_bytes_per_sec = current.compaction_rate_bytes_per_sec;
-  next->compaction_max_subtasks = current.compaction_max_subtasks;
-  next->compaction_partition_min_pages =
-      current.compaction_partition_min_pages;
   next->l1_stall_runs = current.l1_stall_runs;
   // Memory-plumbing knobs: the tuner budgets buffer-vs-filter memory, the
   // cache/arbiter budget is the operator's — a retune must not drop it.

@@ -58,7 +58,7 @@ void BlockCache::SlotTable::Erase(uint32_t hash, uint32_t slot) {
 
 bool BlockCache::Lookup(uint64_t store_id, SegmentId segment,
                         uint64_t page_idx, PageBuffer* out) {
-  if (capacity() == 0 || out == nullptr) return false;
+  if (capacity() == 0) return false;
   const CacheKey key{store_id, segment, page_idx};
   const uint64_t h = KeyHash(key);
   Shard& s = ShardFor(h);
@@ -68,6 +68,7 @@ bool BlockCache::Lookup(uint64_t store_id, SegmentId segment,
   if (idx == nullptr) return false;
   Slot& slot = s.slots[*idx];
   slot.referenced = true;
+  if (out == nullptr) return true;
   out->Reserve(slot.entries.size());
   std::copy(slot.entries.begin(), slot.entries.end(), out->data());
   out->set_size(slot.entries.size());

@@ -58,7 +58,9 @@ class BlockCache {
   }
 
   /// Copies the cached page into `out` and returns true on a hit. The
-  /// caller owns the copy; eviction never invalidates it.
+  /// caller owns the copy; eviction never invalidates it. A null `out`
+  /// copies nothing: a hit only marks the page referenced, for a caller
+  /// that holds the page's bytes already.
   bool Lookup(uint64_t store_id, SegmentId segment, uint64_t page_idx,
               PageBuffer* out);
 

@@ -6,10 +6,8 @@
 // consolidated output run.
 //
 // Merges run off the tree's lock (the scheduler's prepare/execute/install
-// protocol), so this layer also carries the execution controls: a shared
-// token-bucket RateLimiter that bounds merge throughput in bytes/sec, and
-// key-range partitioning that splits one large merge into parallel
-// subtasks along fence-pointer boundaries.
+// protocol), so this layer also carries the shared token-bucket
+// RateLimiter that bounds merge throughput in bytes/sec.
 
 #ifndef ENDURE_LSM_COMPACTION_H_
 #define ENDURE_LSM_COMPACTION_H_
@@ -21,10 +19,6 @@
 #include <vector>
 
 #include "lsm/run.h"
-
-namespace endure {
-class ThreadPool;
-}  // namespace endure
 
 namespace endure::lsm {
 
@@ -62,27 +56,6 @@ class RateLimiter {
   bool stopped_ = false;
 };
 
-/// Execution controls for one merge. Default-constructed limits reproduce
-/// the classic behaviour exactly: no throttling, no partitioning.
-struct MergeLimits {
-  /// Throttle charged as the merge streams (null = unlimited). Waited
-  /// milliseconds are recorded in Statistics::rate_limited_ms.
-  RateLimiter* limiter = nullptr;
-
-  /// Pool for partition subtasks. The merge thread participates itself
-  /// (RunSubtasks), so a null or busy pool degrades to sequential
-  /// partitions, never a deadlock.
-  ThreadPool* subtask_pool = nullptr;
-
-  /// Upper bound on key-range partitions; <= 1 disables partitioning.
-  size_t max_subtasks = 1;
-
-  /// Merges smaller than this many total input pages stay unpartitioned
-  /// (partition boundaries re-read their edge pages, which only pays off
-  /// on large merges); 0 disables partitioning.
-  size_t min_pages_to_partition = 256;
-};
-
 /// Merges `inputs` (ordered newest source first) into a single run whose
 /// Bloom filter is sized at `bits_per_entry`. All input pages are read and
 /// all output pages written under IoContext::kCompaction. A successful
@@ -91,17 +64,14 @@ struct MergeLimits {
 /// page read (I/O or checksum) or a failed output write — abandons the
 /// partial output run and leaves the inputs untouched.
 ///
-/// `limits` throttles the merge, and when it asks for partitioning and
-/// the merge is large enough, the key space is cut at fence-pointer
-/// boundaries of the largest input and the partitions merge in parallel
-/// (each staging its slice in memory), then stream in key order through
-/// one RunBuilder — the result is a single run, byte-identical in content
-/// to the unpartitioned merge. Partitioned merges bump
-/// Statistics::compactions_partitioned / compaction_subtasks.
+/// The merge is one stream on the calling thread: it reads each input
+/// page once, holds one read window per input and the output's staging
+/// page, and charges `limiter` as it goes (null = unlimited; waited
+/// milliseconds land in Statistics::rate_limited_ms).
 StatusOr<std::shared_ptr<Run>> MergeRuns(
     PageStore* store, const std::vector<std::shared_ptr<Run>>& inputs,
     double bits_per_entry, bool drop_tombstones,
-    const MergeLimits& limits = {});
+    RateLimiter* limiter = nullptr);
 
 }  // namespace endure::lsm
 

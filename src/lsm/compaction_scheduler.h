@@ -49,9 +49,7 @@ namespace endure::lsm {
 class CompactionScheduler {
  public:
   struct Config {
-    /// Jobs admitted to the pool concurrently (>= 1). Admitting fewer
-    /// jobs than the pool has threads leaves workers free for partitioned
-    /// merge subtasks.
+    /// Jobs admitted to the pool concurrently (>= 1).
     size_t max_parallel = 1;
 
     /// Aggregate merge throttle in bytes/sec; 0 = unlimited.
@@ -92,7 +90,6 @@ class CompactionScheduler {
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
   RateLimiter* limiter() { return &limiter_; }
-  ThreadPool* subtask_pool() { return pool_; }
 
  private:
   struct Job {

@@ -32,10 +32,6 @@ class FencePointers {
   /// Number of pages.
   size_t num_pages() const { return first_keys_.size(); }
 
-  /// Smallest key stored on page `page`. Partitioned compactions use these
-  /// as key-range split points (every page boundary is a valid cut).
-  Key first_key(size_t page) const { return first_keys_[page]; }
-
   Key min_key() const { return first_keys_.front(); }
   Key max_key() const { return last_key_; }
 

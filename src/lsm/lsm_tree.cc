@@ -203,7 +203,7 @@ Status LsmTree::DrainMaintenance() {
       s = Health();
       break;
     }
-    s = ExecuteMaintenance(&unit, MergeLimits{});
+    s = ExecuteMaintenance(&unit, /*limiter=*/nullptr);
     if (s.ok()) s = InstallMaintenance(&unit);
     if (!s.ok()) break;
     if (unit.publication.has_value()) last = std::move(unit);
@@ -599,14 +599,14 @@ MaintenanceUnit LsmTree::PrepareMaintenance() {
 }
 
 Status LsmTree::ExecuteMaintenance(MaintenanceUnit* unit,
-                                   const MergeLimits& limits) {
+                                   RateLimiter* limiter) {
   switch (unit->kind) {
     case MaintenanceUnit::Kind::kNone:
     case MaintenanceUnit::Kind::kPublish:
       return Status::OK();
     case MaintenanceUnit::Kind::kFlush: {
       // Flushes unblock writers, so they are exempt from the rate
-      // limiter (limits applies to compactions only).
+      // limiter (it applies to compactions only).
       ++stats_->flushes;
       RunBuilder builder(store_, unit->bits_per_entry, IoContext::kFlush);
       for (SkipList::Iterator it = unit->buffer->NewIterator(); it.Valid();
@@ -626,7 +626,7 @@ Status LsmTree::ExecuteMaintenance(MaintenanceUnit* unit,
       ++stats_->compactions;
       StatusOr<std::shared_ptr<Run>> merged_or =
           MergeRuns(store_, unit->inputs, unit->bits_per_entry,
-                    unit->drop_tombstones, limits);
+                    unit->drop_tombstones, limiter);
       ENDURE_RETURN_IF_ERROR(merged_or.status());
       unit->output = std::move(*merged_or);  // null = consolidated away
       return Status::OK();

@@ -318,7 +318,7 @@ class LsmTree {
   Status Flush();
 
   /// Runs maintenance units on the calling thread until none is pending
-  /// (PrepareMaintenance, ExecuteMaintenance without limits,
+  /// (PrepareMaintenance, ExecuteMaintenance with no rate limiter,
   /// InstallMaintenance), then publishes the newest manifest capture —
   /// also when a later unit failed, since a capture covers every install
   /// before it. The owner calls it where no scheduler runs the units (a
@@ -334,7 +334,7 @@ class LsmTree {
   // The owner (ShardedDB's compaction scheduler, or DrainMaintenance on
   // the calling thread) drives one unit at a time per tree:
   //   lock     -> unit = tree->PrepareMaintenance();       // snapshot
-  //   unlock   -> s = tree->ExecuteMaintenance(&unit, limits);  // all I/O
+  //   unlock   -> s = tree->ExecuteMaintenance(&unit, limiter); // all I/O
   //   lock     -> if (s.ok()) s = tree->InstallMaintenance(&unit); // swap
   //   unlock   -> if (s.ok()) s = tree->PublishMaintenance(&unit); // fsync
   // Execute touches only the unit's snapshot, the page store (internally
@@ -356,11 +356,11 @@ class LsmTree {
   /// persisted by a kPublish unit).
   MaintenanceUnit PrepareMaintenance();
 
-  /// Runs the unit's I/O (builds the flush run / merges the input runs)
-  /// under `limits`. Call WITHOUT the owner's lock. On failure the unit
-  /// holds no output and nothing is resident — retry by re-preparing.
-  Status ExecuteMaintenance(MaintenanceUnit* unit,
-                            const MergeLimits& limits);
+  /// Runs the unit's I/O (builds the flush run / merges the input runs),
+  /// charging a merge to `limiter` (null = unlimited; flushes are never
+  /// charged). Call WITHOUT the owner's lock. On failure the unit holds
+  /// no output and nothing is resident — retry by re-preparing.
+  Status ExecuteMaintenance(MaintenanceUnit* unit, RateLimiter* limiter);
 
   /// Publishes the unit's output into the level lists (under the owner's
   /// lock) after revalidating the snapshot; stale units are discarded and

@@ -42,10 +42,6 @@ Status Options::Validate() const {
     return Status::InvalidArgument(
         "background_retry_base_ms must be in [1, 10000]");
   }
-  if (compaction_max_subtasks < 0 || compaction_max_subtasks > 64) {
-    return Status::InvalidArgument(
-        "compaction_max_subtasks must be in [0, 64] (0 = auto)");
-  }
   if (l1_stall_runs < 0 || l1_stall_runs > (1 << 20)) {
     return Status::InvalidArgument(
         "l1_stall_runs must be in [0, 2^20] (0 = auto)");

@@ -140,17 +140,6 @@ struct Options {
   /// ApplyTuning. See docs/operations.md.
   uint64_t compaction_rate_bytes_per_sec = 0;
 
-  /// Merges spanning at least this many input pages are partitioned by
-  /// key range (split points from the fence pointers) into parallel
-  /// subtasks. 0 disables partitioning. Small merges stay single-stream
-  /// so their page-exact I/O accounting is unchanged (partition boundary
-  /// pages are read by two subtasks).
-  uint64_t compaction_partition_min_pages = 256;
-
-  /// Upper bound on parallel subtasks per partitioned merge. 0 = auto
-  /// (hardware threads, capped at 8); 1 disables partitioning.
-  int compaction_max_subtasks = 0;
-
   /// Write-path backpressure threshold on level-1 run count (background
   /// maintenance only): a Put into a shard whose L1 holds more runs than
   /// this stalls (off the shard lock) until maintenance catches up.

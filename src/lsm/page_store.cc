@@ -37,7 +37,7 @@ inline bool CacheableContext(IoContext ctx) {
 
 bool PageStore::CacheLookup(SegmentId segment, size_t page_idx, IoContext ctx,
                             PageBuffer* scratch) const {
-  if (cache_ == nullptr || scratch == nullptr || !CacheableContext(ctx) ||
+  if (cache_ == nullptr || !CacheableContext(ctx) ||
       cache_->capacity() == 0) {
     return false;
   }
@@ -169,21 +169,20 @@ const std::vector<Entry>* MemPageStore::SlotData(SegmentId segment) const {
 
 StatusOr<PageView> MemPageStore::ReadPageView(
     SegmentId segment, size_t page_idx, size_t /*last_page*/, IoContext ctx,
-    PageBuffer* scratch, ReadWindow* window) const {
-  if (scratch == nullptr) scratch = &window->page_;
-  // A cache hit is not a device read: no page-read accounting, the hit
-  // counter tells the story. RAM pages cannot rot, so admission needs no
-  // checksum gate here.
-  if (CacheLookup(segment, page_idx, ctx, scratch)) {
-    return PageView{scratch->data(), scratch->size()};
-  }
+    PageBuffer* /*scratch*/, ReadWindow* /*window*/) const {
   const std::vector<Entry>& data = *SlotData(segment);
   const size_t begin = page_idx * entries_per_page_;
   ENDURE_CHECK_MSG(begin < data.size(), "page index out of range");
   const size_t count = std::min<size_t>(entries_per_page_,
                                         data.size() - begin);
-  stats_->OnPageRead(ctx, 1);
-  CacheAdmit(segment, page_idx, ctx, data.data() + begin, count);
+  // A cache hit is not a device read: no page-read accounting, the hit
+  // counter tells the story. The cached copy was made from the resident
+  // page and RAM pages cannot rot, so a hit copies nothing, and admission
+  // needs no checksum gate.
+  if (!CacheLookup(segment, page_idx, ctx, /*scratch=*/nullptr)) {
+    stats_->OnPageRead(ctx, 1);
+    CacheAdmit(segment, page_idx, ctx, data.data() + begin, count);
+  }
   // Resident pages are directly usable: hand out a borrowed view (stable
   // until FreeSegment) instead of copying.
   return PageView{data.data() + begin, count};

@@ -130,9 +130,8 @@ class FilePageStore;
 /// so a reader obtains them once, never per refill or per page. Holding
 /// raw bytes is not reading a page: each page in the window is still
 /// fault-checked, verified, decoded and counted only when its reader
-/// reaches it. The memory backend never reads ahead; it uses the window
-/// only for its page buffer, which a cache hit copies into. Move-only;
-/// one per reader, never shared across threads.
+/// reaches it. The memory backend uses no window. Move-only; one per
+/// reader, never shared across threads.
 class ReadWindow {
  public:
   ReadWindow() = default;
@@ -148,7 +147,6 @@ class ReadWindow {
 
  private:
   friend class FilePageStore;
-  friend class MemPageStore;
 
   bool Holds(const FilePageStore* store, SegmentId segment,
              size_t page) const {
@@ -240,13 +238,14 @@ class PageStore {
   /// its pages in order up to `last_page`, counting one page read against
   /// `ctx`, and returns a borrowed view of its entries. Backends that hold
   /// pages in directly usable form (MemPageStore) return a pointer into
-  /// the segment without copying and ignore the bound; backends that must
-  /// materialize (FilePageStore) decode into `scratch` — reserved and
-  /// reused in place, no allocation once warm — and return a view of it.
-  /// A null `scratch` selects the window's own page buffer instead (a
-  /// cache hit copies there too), which the file backend lends from its
-  /// pool with the extent: a reader that keeps its window takes its
-  /// decode space once.
+  /// the segment without copying, also on a block-cache hit, and ignore
+  /// the bound, `scratch` and the window; backends that must materialize
+  /// (FilePageStore) decode into `scratch` — reserved and reused in
+  /// place, no allocation once warm — and return a view of it. A null
+  /// `scratch` selects the window's own page buffer instead (a cache hit
+  /// copies there too), which the file backend lends from its pool with
+  /// the extent: a reader that keeps its window takes its decode space
+  /// once.
   ///
   /// The file backend serves a page its window already holds (a
   /// read-ahead page, which arrived with an earlier page's extent) from
@@ -300,8 +299,9 @@ class PageStore {
   BlockCache* block_cache() const { return cache_; }
 
  protected:
-  /// On a hit, fills `scratch` from the cache, counts the hit and returns
-  /// true. Only fires for point/range contexts with the cache attached and
+  /// On a hit, fills `scratch` from the cache (a null `scratch` only
+  /// marks the cached page referenced), counts the hit and returns true.
+  /// Only fires for point/range contexts with the cache attached and
   /// non-zero capacity; counts a miss otherwise within those constraints.
   bool CacheLookup(SegmentId segment, size_t page_idx, IoContext ctx,
                    PageBuffer* scratch) const;

@@ -44,12 +44,6 @@ class Run {
   Key max_key() const { return fences_->max_key(); }
   const BloomFilter& bloom() const { return *bloom_; }
 
-  /// Page index. Partitioned compactions consult it directly for split
-  /// keys (first_key) and per-partition page ranges, then build bounded
-  /// Iterators under IoContext::kCompaction — bypassing NewRangeIterator,
-  /// which would miscount a merge subtask as a range seek.
-  const FencePointers& fences() const { return *fences_; }
-
   /// The backing segment (recorded in the manifest so recovery can adopt
   /// the same file and rebuild this run from its pages).
   SegmentId segment() const { return segment_; }

@@ -80,9 +80,7 @@ ShardedDB::ShardedDB(const Options& options, bool defer_shards)
     CompactionScheduler::Config cfg;
     // Admission as wide as the pool: the pool's FIFO queue then never
     // holds a waiting job, so it can never invert the scheduler's
-    // priority order. Partition subtasks still fit — RunSubtasks has the
-    // merge thread participate, recruiting helpers only when workers are
-    // free.
+    // priority order.
     cfg.max_parallel = workers;
     cfg.rate_bytes_per_sec = options_.compaction_rate_bytes_per_sec;
     scheduler_ = std::make_unique<CompactionScheduler>(pool_.get(), cfg,
@@ -237,26 +235,7 @@ void ShardedDB::MaybeScheduleMaintenance(Shard* shard) {
   if (!queued) shard->maintenance_scheduled = false;
 }
 
-MergeLimits ShardedDB::MakeMergeLimits() const {
-  MergeLimits limits;
-  if (scheduler_ == nullptr) return limits;
-  limits.limiter = scheduler_->limiter();
-  limits.subtask_pool = scheduler_->subtask_pool();
-  const Options opts = options();  // options_mu_ only; no shard lock held
-  limits.max_subtasks =
-      opts.compaction_max_subtasks > 0
-          ? static_cast<size_t>(opts.compaction_max_subtasks)
-          : std::min<size_t>(8, DefaultParallelism());
-  limits.min_pages_to_partition =
-      static_cast<size_t>(opts.compaction_partition_min_pages);
-  return limits;
-}
-
 void ShardedDB::RunMaintenanceUnit(Shard* shard) {
-  // Execution controls snapshot before taking the shard lock
-  // (MakeMergeLimits takes options_mu_, which shard->mu nests inside).
-  const MergeLimits limits = MakeMergeLimits();
-
   MaintenanceUnit unit;
   {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -277,7 +256,7 @@ void ShardedDB::RunMaintenanceUnit(Shard* shard) {
 
   // The expensive phase — merge/flush I/O — with the shard UNLOCKED:
   // foreground Get/Put/Scan proceed against the still-resident inputs.
-  Status s = shard->tree->ExecuteMaintenance(&unit, limits);
+  Status s = shard->tree->ExecuteMaintenance(&unit, scheduler_->limiter());
 
   {
     std::lock_guard<std::mutex> lock(shard->mu);

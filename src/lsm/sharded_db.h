@@ -324,11 +324,6 @@ class ShardedDB {
   /// Options::background_max_retries consecutive attempts failed.
   void RunMaintenanceUnit(Shard* shard);
 
-  /// Snapshot of the execution controls for one maintenance job (rate
-  /// limiter, subtask pool and partitioning knobs). Takes options_mu_
-  /// only — call WITHOUT the shard lock held.
-  MergeLimits MakeMergeLimits() const;
-
   /// Write-path hook for the memory arbiter: bumps the op counter by
   /// `ops` and, every ~1024 operations (when a memory budget is
   /// configured), re-splits Options::memory_budget_bytes between the

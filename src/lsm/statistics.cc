@@ -1,7 +1,5 @@
 #include "lsm/statistics.h"
 
-#include <cstdio>
-
 namespace endure::lsm {
 
 void Statistics::OnPageRead(IoContext ctx, uint64_t pages) {
@@ -79,8 +77,6 @@ void Statistics::Accumulate(const Statistics& shard) {
   compaction_stall_ms += shard.compaction_stall_ms;
   write_stalls += shard.write_stalls;
   rate_limited_ms += shard.rate_limited_ms;
-  compactions_partitioned += shard.compactions_partitioned;
-  compaction_subtasks += shard.compaction_subtasks;
   sched_jobs += shard.sched_jobs;
   sched_requeues += shard.sched_requeues;
   snapshot_acquires += shard.snapshot_acquires;
@@ -132,9 +128,6 @@ Statistics Statistics::Delta(const Statistics& b) const {
   d.compaction_stall_ms = compaction_stall_ms - b.compaction_stall_ms;
   d.write_stalls = write_stalls - b.write_stalls;
   d.rate_limited_ms = rate_limited_ms - b.rate_limited_ms;
-  d.compactions_partitioned =
-      compactions_partitioned - b.compactions_partitioned;
-  d.compaction_subtasks = compaction_subtasks - b.compaction_subtasks;
   d.sched_jobs = sched_jobs - b.sched_jobs;
   d.sched_requeues = sched_requeues - b.sched_requeues;
   d.snapshot_acquires = snapshot_acquires - b.snapshot_acquires;
@@ -146,76 +139,6 @@ Statistics Statistics::Delta(const Statistics& b) const {
   // subtraction would be meaningless for a max).
   d.sched_queue_peak = sched_queue_peak.load();
   return d;
-}
-
-std::string Statistics::ToString() const {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "Statistics{\n"
-      "  pages_read=%llu (point=%llu range=%llu compaction=%llu)\n"
-      "  pages_written=%llu (flush=%llu compaction=%llu bulk=%llu)\n"
-      "  range_seeks=%llu\n"
-      "  bloom: probes=%llu negatives=%llu false_positives=%llu\n"
-      "  fence_skips=%llu\n"
-      "  ops: gets=%llu ranges=%llu writes=%llu flushes=%llu "
-      "compactions=%llu\n"
-      "  reconfig: applies=%llu migration_steps=%llu\n"
-      "  wal: records=%llu bytes=%llu syncs=%llu rotations=%llu\n"
-      "  durability: manifest_writes=%llu recoveries=%llu "
-      "replayed=%llu recovery_pages=%llu\n"
-      "  faults: io_retries=%llu checksum_failures=%llu "
-      "read_only_transitions=%llu\n"
-      "  scheduler: jobs=%llu requeues=%llu queue_peak=%llu\n"
-      "  stalls: write_stalls=%llu stall_ms=%llu rate_limited_ms=%llu\n"
-      "  partitioned: merges=%llu subtasks=%llu\n"
-      "  read path: snapshot_acquires=%llu\n"
-      "  cache: hits=%llu misses=%llu evictions=%llu arbiter_shifts=%llu\n}",
-      static_cast<unsigned long long>(pages_read),
-      static_cast<unsigned long long>(point_pages_read),
-      static_cast<unsigned long long>(range_pages_read),
-      static_cast<unsigned long long>(compaction_pages_read),
-      static_cast<unsigned long long>(pages_written),
-      static_cast<unsigned long long>(flush_pages_written),
-      static_cast<unsigned long long>(compaction_pages_written),
-      static_cast<unsigned long long>(bulk_load_pages_written),
-      static_cast<unsigned long long>(range_seeks),
-      static_cast<unsigned long long>(bloom_probes),
-      static_cast<unsigned long long>(bloom_negatives),
-      static_cast<unsigned long long>(bloom_false_positives),
-      static_cast<unsigned long long>(fence_skips),
-      static_cast<unsigned long long>(gets),
-      static_cast<unsigned long long>(range_queries),
-      static_cast<unsigned long long>(writes),
-      static_cast<unsigned long long>(flushes),
-      static_cast<unsigned long long>(compactions),
-      static_cast<unsigned long long>(reconfigurations),
-      static_cast<unsigned long long>(migration_steps),
-      static_cast<unsigned long long>(wal_records),
-      static_cast<unsigned long long>(wal_bytes),
-      static_cast<unsigned long long>(wal_syncs),
-      static_cast<unsigned long long>(wal_rotations),
-      static_cast<unsigned long long>(manifest_writes),
-      static_cast<unsigned long long>(recoveries),
-      static_cast<unsigned long long>(wal_replayed_entries),
-      static_cast<unsigned long long>(recovery_pages_read),
-      static_cast<unsigned long long>(io_retries),
-      static_cast<unsigned long long>(checksum_failures),
-      static_cast<unsigned long long>(read_only_transitions),
-      static_cast<unsigned long long>(sched_jobs),
-      static_cast<unsigned long long>(sched_requeues),
-      static_cast<unsigned long long>(sched_queue_peak),
-      static_cast<unsigned long long>(write_stalls),
-      static_cast<unsigned long long>(compaction_stall_ms),
-      static_cast<unsigned long long>(rate_limited_ms),
-      static_cast<unsigned long long>(compactions_partitioned),
-      static_cast<unsigned long long>(compaction_subtasks),
-      static_cast<unsigned long long>(snapshot_acquires),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses),
-      static_cast<unsigned long long>(cache_evictions),
-      static_cast<unsigned long long>(arbiter_shifts));
-  return buf;
 }
 
 std::vector<std::pair<std::string, uint64_t>> Statistics::Named() const {
@@ -254,8 +177,6 @@ std::vector<std::pair<std::string, uint64_t>> Statistics::Named() const {
       {"compaction_stall_ms", compaction_stall_ms},
       {"write_stalls", write_stalls},
       {"rate_limited_ms", rate_limited_ms},
-      {"compactions_partitioned", compactions_partitioned},
-      {"compaction_subtasks", compaction_subtasks},
       {"sched_jobs", sched_jobs},
       {"sched_requeues", sched_requeues},
       {"sched_queue_peak", sched_queue_peak},

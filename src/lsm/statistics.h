@@ -114,8 +114,6 @@ struct Statistics {
   RelaxedCounter compaction_stall_ms = 0;  ///< ms writers stalled on backpressure
   RelaxedCounter write_stalls = 0;         ///< Put/Delete calls that stalled
   RelaxedCounter rate_limited_ms = 0;      ///< ms merges waited on the rate limiter
-  RelaxedCounter compactions_partitioned = 0;///< merges split into parallel subtasks
-  RelaxedCounter compaction_subtasks = 0;  ///< key-range subtasks run by partitioned merges
   RelaxedCounter sched_jobs = 0;           ///< maintenance jobs admitted to the scheduler
   RelaxedCounter sched_requeues = 0;       ///< deadline-delayed retry requeues
   RelaxedCounter sched_queue_peak = 0;     ///< max jobs waiting in the priority queue (gauge)
@@ -141,12 +139,8 @@ struct Statistics {
   /// aggregate per-shard statistics.
   void Accumulate(const Statistics& shard);
 
-  /// Multi-line human-readable dump.
-  std::string ToString() const;
-
   /// Flat (name, value) snapshot of every counter, in declaration order
-  /// — the machine-readable form the network STATS endpoint serves (and
-  /// anything else that wants counters without parsing ToString()).
+  /// — the form the network STATS endpoint serves.
   std::vector<std::pair<std::string, uint64_t>> Named() const;
 };
 

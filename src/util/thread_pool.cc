@@ -1,8 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 namespace endure {
 
@@ -81,52 +79,6 @@ void ParallelFor(size_t n, size_t max_threads,
     pool.Submit([&fn, i] { fn(i); });
   }
   pool.Wait();
-}
-
-namespace {
-
-/// Shared state of one RunSubtasks invocation. Helpers hold a shared_ptr
-/// so a helper scheduled after the caller already finished (every index
-/// claimed by others) still finds live state to no-op against.
-struct SubtaskState {
-  std::function<void(size_t)> fn;
-  size_t total = 0;
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t done = 0;  ///< under mu
-
-  void Drain() {
-    size_t i;
-    while ((i = next.fetch_add(1, std::memory_order_relaxed)) < total) {
-      fn(i);
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == total) done_cv.notify_all();
-    }
-  }
-};
-
-}  // namespace
-
-void RunSubtasks(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (pool == nullptr || n == 1 || pool->num_threads() == 0) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<SubtaskState>();
-  state->fn = fn;
-  state->total = n;
-  // Recruit at most n-1 helpers (the caller is the n-th worker). A failed
-  // TrySubmit (pool shutting down) just means fewer helpers.
-  const size_t helpers = std::min(n - 1, pool->num_threads());
-  for (size_t h = 0; h < helpers; ++h) {
-    pool->TrySubmit([state] { state->Drain(); });
-  }
-  state->Drain();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->done == state->total; });
 }
 
 }  // namespace endure

@@ -48,8 +48,6 @@ class ThreadPool {
   /// destroying a pool object concurrent jobs may still be consulting.
   void Shutdown();
 
-  size_t num_threads() const { return workers_.size(); }
-
  private:
   void WorkerLoop();
 
@@ -73,16 +71,6 @@ size_t DefaultParallelism();
 /// results belong in pre-sized slots (the Wait inside is the barrier
 /// that makes reading them back race-free).
 void ParallelFor(size_t n, size_t max_threads,
-                 const std::function<void(size_t)>& fn);
-
-/// Runs fn(0), ..., fn(n-1) cooperatively: the CALLER drains a shared
-/// index counter alongside up to n-1 pool helpers recruited via
-/// TrySubmit. Progress never depends on the pool — a null, busy or
-/// single-thread pool degrades to inline execution (so code already
-/// running ON a pool worker can fan out without risking deadlock).
-/// Returns once every index has run; `fn` must not throw and must be
-/// safe to call concurrently for distinct indices.
-void RunSubtasks(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 
 }  // namespace endure

@@ -51,6 +51,29 @@ TEST(BlockCacheTest, LookupMissThenHitCopiesOut) {
   EXPECT_EQ(cache.usage(), 4 * sizeof(Entry));
 }
 
+TEST(BlockCacheTest, LookupWithoutOutOnlyMarksThePageReferenced) {
+  // One cache shard with room for two pages, so the clock is
+  // deterministic: the hand starts at page 0. A lookup with no buffer
+  // copies nothing, but its hit gives page 0 a second chance, so the
+  // third insert evicts page 1 instead.
+  BlockCache cache(2 * 4 * sizeof(Entry), /*num_shards=*/1);
+  const uint64_t store = cache.RegisterStore();
+  EXPECT_FALSE(cache.Lookup(store, 1, 0, /*out=*/nullptr));
+  const std::vector<Entry> page = MakePage(0, 4);
+  cache.Insert(store, 1, 0, page.data(), 4, nullptr);
+  cache.Insert(store, 1, 1, page.data(), 4, nullptr);
+  EXPECT_TRUE(cache.Lookup(store, 1, 0, /*out=*/nullptr));
+  EXPECT_EQ(cache.usage(), 2 * 4 * sizeof(Entry));
+
+  Statistics stats;
+  cache.Insert(store, 1, 2, page.data(), 4, &stats);
+  EXPECT_EQ(stats.cache_evictions.load(), 1u);
+  PageBuffer buf;
+  EXPECT_TRUE(cache.Lookup(store, 1, 0, &buf));
+  EXPECT_FALSE(cache.Lookup(store, 1, 1, &buf));
+  EXPECT_TRUE(cache.Lookup(store, 1, 2, &buf));
+}
+
 TEST(BlockCacheTest, StoresAreIsolatedBySegmentKey) {
   // Two stores may reuse the same SegmentId; the registered store id
   // keeps their pages apart.

@@ -1,17 +1,18 @@
 // CompactionScheduler and the prepare/execute/install maintenance
 // protocol: rate-limiter semantics, strict priority admission, deadline
 // (timer-thread) retry requeues that keep backoffs off the pool workers,
-// WaitIdle through self-rescheduling chains, RunSubtasks, partitioned
-// merges matching sequential ones byte for byte, and the LsmTree unit
+// WaitIdle through self-rescheduling chains, and the LsmTree unit
 // protocol including its stale-unit discard races, the operator Flush
 // handing failed work back to the scheduler, and a foreground tree (the
-// writer runs the units) matching a scheduler-driven one. Run under
+// writer runs the units) matching a scheduler-driven one, also through
+// ShardedDB's scheduler on merges of hundreds of pages. Run under
 // ThreadSanitizer in CI's tsan leg.
 
 #include "lsm/compaction_scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -19,13 +20,14 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lsm/compaction.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/page_store.h"
-#include "lsm/run_builder.h"
 #include "lsm/sharded_db.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -201,112 +203,6 @@ TEST(CompactionSchedulerTest, StopDropsQueuedAndRefusesNewJobs) {
   sched.WaitIdle();  // dropped jobs must not leave the count dangling
 }
 
-// ------------------------------------------------------------ RunSubtasks --
-
-TEST(CompactionSchedulerSubtaskTest, CoversEveryIndexWithAndWithoutPool) {
-  for (ThreadPool* pool :
-       {static_cast<ThreadPool*>(nullptr), new ThreadPool(3)}) {
-    std::vector<std::atomic<int>> hits(64);
-    RunSubtasks(pool, 64, [&](size_t i) { ++hits[i]; });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-    delete pool;
-  }
-}
-
-TEST(CompactionSchedulerSubtaskTest, SafeFromAPoolWorkerItself) {
-  // Code already running ON the pool must be able to fan out without
-  // deadlock even when every worker is busy (caller participation).
-  ThreadPool pool(1);
-  std::atomic<int> total{0};
-  pool.Submit([&] {
-    RunSubtasks(&pool, 16, [&](size_t) { ++total; });
-  });
-  pool.Wait();
-  EXPECT_EQ(total.load(), 16);
-}
-
-// ------------------------------------------------------ partitioned merge --
-
-class PartitionedMergeTest : public ::testing::Test {
- protected:
-  PartitionedMergeTest() : store_(4, &stats_) {}
-
-  // `Run` alone would resolve to testing::Test::Run inside the fixture.
-  std::shared_ptr<endure::lsm::Run> RunOf(const std::vector<Entry>& entries) {
-    return BuildRun(&store_, entries, 8.0, IoContext::kFlush).value();
-  }
-
-  Statistics stats_;
-  MemPageStore store_;
-};
-
-TEST_F(PartitionedMergeTest, MatchesSequentialMergeExactly) {
-  // Three overlapping runs, hundreds of pages, updates and tombstones.
-  Rng rng(7);
-  std::vector<Entry> a, b, c;
-  for (Key k = 0; k < 3000; ++k) a.push_back({3 * k, 5, k, EntryType::kValue});
-  for (Key k = 0; k < 2000; ++k) {
-    b.push_back({4 * k, 3,
-                 rng.NextDouble() < 0.1 ? 0 : 4 * k + 1,
-                 rng.NextDouble() < 0.1 ? EntryType::kTombstone
-                                        : EntryType::kValue});
-  }
-  for (Key k = 500; k < 2500; ++k) c.push_back({k, 1, 9, EntryType::kValue});
-  auto ra = RunOf(a), rb = RunOf(b), rc = RunOf(c);
-
-  auto sequential =
-      MergeRuns(&store_, {ra, rb, rc}, 8.0, /*drop_tombstones=*/true)
-          .value();
-  ASSERT_NE(sequential, nullptr);
-
-  ThreadPool pool(3);
-  MergeLimits limits;
-  limits.subtask_pool = &pool;
-  limits.max_subtasks = 4;
-  limits.min_pages_to_partition = 8;  // force partitioning at this size
-  auto partitioned =
-      MergeRuns(&store_, {ra, rb, rc}, 8.0, /*drop_tombstones=*/true,
-                limits)
-          .value();
-  ASSERT_NE(partitioned, nullptr);
-
-  ASSERT_EQ(partitioned->num_entries(), sequential->num_entries());
-  auto si = sequential->NewIterator(IoContext::kCompaction);
-  auto pi = partitioned->NewIterator(IoContext::kCompaction);
-  while (si.Valid()) {
-    ASSERT_TRUE(pi.Valid());
-    EXPECT_EQ(pi.entry().key, si.entry().key);
-    EXPECT_EQ(pi.entry().value, si.entry().value);
-    EXPECT_EQ(pi.entry().seq, si.entry().seq);
-    EXPECT_EQ(pi.entry().type, si.entry().type);
-    si.Next();
-    pi.Next();
-  }
-  EXPECT_FALSE(pi.Valid());
-  EXPECT_GE(stats_.compactions_partitioned.load(), 1u);
-  EXPECT_GE(stats_.compaction_subtasks.load(), 2u);
-}
-
-TEST_F(PartitionedMergeTest, SmallMergesStayUnpartitioned) {
-  std::vector<Entry> a, b;
-  for (Key k = 0; k < 40; ++k) a.push_back({2 * k, 2, k, EntryType::kValue});
-  for (Key k = 0; k < 40; ++k) {
-    b.push_back({2 * k + 1, 1, k, EntryType::kValue});
-  }
-  ThreadPool pool(2);
-  MergeLimits limits;
-  limits.subtask_pool = &pool;
-  limits.max_subtasks = 4;  // default 256-page gate stays in force
-  auto merged = MergeRuns(&store_, {RunOf(a), RunOf(b)}, 8.0, false,
-                          limits)
-                    .value();
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->num_entries(), 80u);
-  EXPECT_EQ(stats_.compactions_partitioned.load(), 0u);
-}
-
 // ------------------------------------------- prepare / execute / install --
 
 /// Drives prepare/execute/install until no unit is pending, as the
@@ -315,7 +211,7 @@ void RunUnitsByHand(LsmTree* tree) {
   for (;;) {
     MaintenanceUnit unit = tree->PrepareMaintenance();
     if (unit.kind == MaintenanceUnit::Kind::kNone) return;
-    ASSERT_TRUE(tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+    ASSERT_TRUE(tree->ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
     ASSERT_TRUE(tree->InstallMaintenance(&unit).ok());
   }
 }
@@ -355,7 +251,7 @@ TEST_F(MaintenanceProtocolTest, FlushUnitMovesSealedBufferIntoLevelOne) {
   MaintenanceUnit unit = tree_.PrepareMaintenance();
   ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
   EXPECT_EQ(unit.priority, 0);
-  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
   ASSERT_NE(unit.output, nullptr);
   ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());
   EXPECT_FALSE(tree_.HasSealedMemtable());
@@ -378,7 +274,7 @@ TEST_F(MaintenanceProtocolTest, OverFullBufferWaitsForThePendingFlush) {
 
   MaintenanceUnit unit = tree_.PrepareMaintenance();
   ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
-  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
   ASSERT_TRUE(tree_.InstallMaintenance(&unit).ok());
   EXPECT_FALSE(tree_.HasSealedMemtable());
 
@@ -400,7 +296,7 @@ TEST_F(MaintenanceProtocolTest, StaleFlushUnitDiscardsAfterForegroundFlush) {
   FillToSeal(0);
   MaintenanceUnit unit = tree_.PrepareMaintenance();
   ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
-  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
   // A foreground Flush consumed the sealed buffer while the unit was
   // executing (in real use: off the lock).
   ASSERT_TRUE(tree_.Flush().ok());
@@ -416,7 +312,7 @@ TEST_F(MaintenanceProtocolTest, StaleFlushUnitDiscardsAfterForegroundFlush) {
 TEST_F(MaintenanceProtocolTest, StaleEpochUnitDiscardsAfterReconfigure) {
   FillToSeal(0);
   MaintenanceUnit unit = tree_.PrepareMaintenance();
-  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
   Options next = TreeOpts();
   next.size_ratio = 6;
   ASSERT_TRUE(tree_.Reconfigure(next).ok());
@@ -436,13 +332,13 @@ TEST_F(MaintenanceProtocolTest, StaleCompactionUnitDiscardsWhenInputsMoved) {
   // Flush by hand so level 1 stops conforming (two runs under leveling).
   MaintenanceUnit flush = tree_.PrepareMaintenance();
   ASSERT_EQ(flush.kind, MaintenanceUnit::Kind::kFlush);
-  ASSERT_TRUE(tree_.ExecuteMaintenance(&flush, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&flush, /*limiter=*/nullptr).ok());
   ASSERT_TRUE(tree_.InstallMaintenance(&flush).ok());
   ASSERT_GT(tree_.RunsInLevel(1), 1u);
 
   MaintenanceUnit unit = tree_.PrepareMaintenance();
   ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kCompaction);
-  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, MergeLimits{}).ok());
+  ASSERT_TRUE(tree_.ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
   // A racing foreground Flush merges level 1 before install: the unit's
   // inputs are no longer resident.
   FillToSeal(200);
@@ -650,6 +546,71 @@ TEST_P(MaintenanceProtocolEquivalenceTest,
 INSTANTIATE_TEST_SUITE_P(Tunings, MaintenanceProtocolEquivalenceTest,
                          ::testing::ValuesIn(AllEquivalenceCases()),
                          CaseName);
+
+// ------------------------------------ page-exact merges via the scheduler --
+
+TEST(MaintenanceProtocolShardedTest, SchedulerMergesReadEachInputPageOnce) {
+  // A merge reads each of its input pages once, whichever thread runs it:
+  // a scheduler-driven shard drained after every put reads exactly the
+  // compaction pages a foreground one reads, also when a level overflows
+  // into a bulk-loaded bottom level and one merge spans hundreds of input
+  // pages. (A merge cut into parallel key ranges would read the input
+  // pages that straddle each cut twice.)
+  auto open_db = [](bool background) {
+    Options o;
+    o.policy = CompactionPolicy::kLeveling;
+    o.size_ratio = 4;
+    o.buffer_entries = 64;
+    o.entries_per_page = 4;
+    o.filter_bits_per_entry = 8.0;
+    o.background_maintenance = background;
+    o.maintenance_threads = 4;
+    return std::move(ShardedDB::Open(o)).value();
+  };
+  auto fg = open_db(/*background=*/false);
+  auto bg = open_db(/*background=*/true);
+  std::vector<std::pair<Key, Value>> load;
+  for (Key k = 0; k < 4000; ++k) load.emplace_back(2 * k, k);
+  ASSERT_TRUE(fg->BulkLoad(load).ok());
+  ASSERT_TRUE(bg->BulkLoad(load).ok());
+
+  // The bulk load fills every level to capacity, so the first flush
+  // cascades down to the bottom level. A put whose merges read P input
+  // pages over k merges ran one merge of at least P / k pages.
+  Rng rng(11);
+  uint64_t largest_merge_pages = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const Key key = 2 * rng.UniformInt(0, 6000) + 1;
+    const Statistics before = fg->TotalStats();
+    ASSERT_TRUE(fg->Put(key, static_cast<Value>(i)).ok());
+    const Statistics step = fg->TotalStats().Delta(before);
+    if (step.compactions.load() > 0) {
+      largest_merge_pages = std::max(
+          largest_merge_pages,
+          step.compaction_pages_read.load() / step.compactions.load());
+    }
+    ASSERT_TRUE(bg->Put(key, static_cast<Value>(i)).ok());
+    bg->WaitForMaintenance();
+  }
+  EXPECT_GE(largest_merge_pages, 256u);
+
+  const Statistics f = fg->TotalStats();
+  const Statistics b = bg->TotalStats();
+  EXPECT_EQ(f.compaction_pages_read.load(), b.compaction_pages_read.load());
+  EXPECT_EQ(f.compaction_pages_written.load(),
+            b.compaction_pages_written.load());
+  EXPECT_EQ(f.compactions.load(), b.compactions.load());
+  const std::vector<LevelInfo> fg_levels = fg->shard_tree(0).GetLevelInfos();
+  const std::vector<LevelInfo> bg_levels = bg->shard_tree(0).GetLevelInfos();
+  ASSERT_EQ(fg_levels.size(), bg_levels.size());
+  for (size_t i = 0; i < fg_levels.size(); ++i) {
+    SCOPED_TRACE("level " + std::to_string(fg_levels[i].level));
+    EXPECT_EQ(fg_levels[i].num_runs, bg_levels[i].num_runs);
+    EXPECT_EQ(fg_levels[i].num_entries, bg_levels[i].num_entries);
+    EXPECT_EQ(fg_levels[i].min_key, bg_levels[i].min_key);
+    EXPECT_EQ(fg_levels[i].max_key, bg_levels[i].max_key);
+  }
+}
 
 // ------------------------------------------------- starvation regression --
 

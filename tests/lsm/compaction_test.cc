@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "lsm/run_builder.h"
+#include "util/random.h"
 
 namespace endure::lsm {
 namespace {
@@ -101,6 +105,54 @@ TEST_F(CompactionTest, ManyRunsMerge) {
   auto merged = MergeRuns(&store_, runs, 8.0, false).value();
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->num_entries(), 80u);
+}
+
+TEST_F(CompactionTest, MergeOfHundredsOfPagesReadsEachInputPageOnce) {
+  // Three overlapping runs of 1,750 pages in all, with updates and
+  // tombstones, merge in one stream: every input page is read once (a
+  // merge cut into key ranges would re-read the pages that straddle each
+  // cut), and the output is the newest version of each key with the
+  // tombstones dropped.
+  Rng rng(7);
+  std::vector<Entry> a, b, c;
+  for (Key k = 0; k < 3000; ++k) a.push_back(Val(3 * k, 5, k));
+  for (Key k = 0; k < 2000; ++k) {
+    if (rng.NextDouble() < 0.1) {
+      b.push_back(Tomb(4 * k, 3));
+    } else {
+      b.push_back(Val(4 * k, 3, 4 * k + 1));
+    }
+  }
+  for (Key k = 500; k < 2500; ++k) c.push_back(Val(k, 1, 9));
+  std::map<Key, Entry> newest;
+  for (const std::vector<Entry>* run : {&a, &b, &c}) {
+    for (const Entry& e : *run) newest.emplace(e.key, e);
+  }
+  std::erase_if(newest, [](const auto& kv) {
+    return kv.second.is_tombstone();
+  });
+  auto ra = RunOf(a), rb = RunOf(b), rc = RunOf(c);
+  const uint64_t input_pages = (3000 + 2000 + 2000) / 4;
+
+  const Statistics before = stats_;
+  auto merged = MergeRuns(&store_, {ra, rb, rc}, 8.0,
+                          /*drop_tombstones=*/true).value();
+  const Statistics d = stats_.Delta(before);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(d.compaction_pages_read.load(), input_pages);
+  EXPECT_EQ(d.compaction_pages_written.load(), (newest.size() + 3) / 4);
+
+  ASSERT_EQ(merged->num_entries(), newest.size());
+  auto it = merged->NewIterator(IoContext::kRangeQuery);
+  for (const auto& [key, want] : newest) {
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.entry().key, key);
+    EXPECT_EQ(it.entry().seq, want.seq);
+    EXPECT_EQ(it.entry().value, want.value);
+    EXPECT_FALSE(it.entry().is_tombstone());
+    it.Next();
+  }
+  EXPECT_FALSE(it.Valid());
 }
 
 }  // namespace

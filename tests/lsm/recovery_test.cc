@@ -290,7 +290,7 @@ TEST(RecoveryTest, ResumesMidMigrationExactlyWhereItStopped) {
     MaintenanceUnit unit = t->tree->PrepareMaintenance();
     ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kCompaction);
     ASSERT_EQ(unit.priority, 1);
-    ASSERT_TRUE(t->tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+    ASSERT_TRUE(t->tree->ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
     ASSERT_TRUE(t->tree->InstallMaintenance(&unit).ok());
     ASSERT_TRUE(t->tree->PublishMaintenance(&unit).ok());
     ASSERT_EQ(t->stats.migration_steps.load(), 1u);
@@ -846,7 +846,7 @@ TEST(RecoveryTest, KillBeforeRetiredWalUnlinkReplaysOnlyLiveGenerations) {
       ASSERT_TRUE(t->tree->HasSealedMemtable());
       MaintenanceUnit unit = t->tree->PrepareMaintenance();
       ASSERT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
-      ASSERT_TRUE(t->tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+      ASSERT_TRUE(t->tree->ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
       ASSERT_TRUE(t->tree->InstallMaintenance(&unit).ok());
       // Installed in memory; the generations the sealed buffer logged to
       // are still on disk until the manifest lands.
@@ -911,7 +911,7 @@ TEST(RecoveryTest, StalePublicationNeverRollsTheManifestBack) {
       }
       MaintenanceUnit unit = t->tree->PrepareMaintenance();
       EXPECT_EQ(unit.kind, MaintenanceUnit::Kind::kFlush);
-      EXPECT_TRUE(t->tree->ExecuteMaintenance(&unit, MergeLimits{}).ok());
+      EXPECT_TRUE(t->tree->ExecuteMaintenance(&unit, /*limiter=*/nullptr).ok());
       EXPECT_TRUE(t->tree->InstallMaintenance(&unit).ok());
       EXPECT_TRUE(unit.publication.has_value());
       return unit;
